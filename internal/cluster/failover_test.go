@@ -86,7 +86,17 @@ func TestClusterReplicatedFailoverNoRebuild(t *testing.T) {
 	// connection error, which the router turns into an ejection plus an
 	// in-request retry on the key's next owner — the replica that
 	// already adopted the table. No request fails, nothing rebuilds.
-	h.backends[0].kill()
+	// The victim is the shard that served the most warm requests: ring
+	// placement hashes the listeners' ephemeral ports, so a fixed index
+	// owns none of the 8 keys in a few percent of runs, and a shard that
+	// owns nothing is never asked again and never ejected.
+	victim := h.backends[0]
+	for _, b := range h.backends[1:] {
+		if b.stats()[0].Requests > victim.stats()[0].Requests {
+			victim = b
+		}
+	}
+	victim.kill()
 	drive("failover")
 	h.router.WaitReplicaFills()
 

@@ -686,7 +686,8 @@ func (rt *Router) peerHintFor(key []byte, owner string) string {
 // maybeFillReplicas pushes the key's table toward its non-primary
 // owners: for each replica that has not been filled yet, an async POST
 // /table/prefill tells it to adopt the table from the shard that just
-// served the request, over the same pimtab-v1 codec peer fill uses.
+// served the request, over the same GET /table/{fingerprint} fetch
+// peer fill uses (which negotiates the compressed pimtab-v2 codec).
 // Fills are deduplicated per (backend, fingerprint), forgotten when the
 // backend is ejected (a crash-restarted process lost its cache), and
 // never touch the request counters — they are the router's own
@@ -1000,17 +1001,26 @@ func (rt *Router) adminBackend(w http.ResponseWriter, r *http.Request) (string, 
 }
 
 // isConnError reports whether err means the request never got a
-// response — dial refused, connection reset, or the wire cut mid-reply
-// — the class where the backend did no (visible) work and a retry on
-// another shard is safe for pure compute.
+// response — dial refused, connection reset, the wire cut mid-reply, or
+// a pooled connection the backend closed while it was idle (a shard
+// shutting down closes its idle connections) — the class where the
+// backend did no (visible) work and a retry on another shard is safe
+// for pure compute.
 func isConnError(err error) bool {
 	var opErr *net.OpError
 	return errors.As(err, &opErr) ||
 		errors.Is(err, syscall.ECONNREFUSED) ||
 		errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF)
+		errors.Is(err, io.ErrUnexpectedEOF) ||
+		strings.HasSuffix(err.Error(), errServerClosedIdle)
 }
+
+// errServerClosedIdle is the text of the error net/http returns for a
+// request sent on a pooled connection the server had already closed as
+// idle. The sentinel is unexported, and the transport does not retry
+// POSTs on it itself, so it is matched by text.
+const errServerClosedIdle = "http: server closed idle connection"
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rt.ring.Len() == 0 {

@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -589,5 +591,21 @@ func TestRouterBackgroundHealthLoop(t *testing.T) {
 	}
 	if !rt.Ring().Has(b2.ts.URL) {
 		t.Fatal("health loop ejected a live backend")
+	}
+}
+
+// A pooled connection the backend closed as idle (a shard shutting down
+// closes its idle connections) fails the POST sent on it with net/http's
+// unexported "server closed idle connection" error, which the transport
+// does not retry itself. The backend never read that request, so the
+// router must classify it as a connection error and retry elsewhere
+// rather than relay a 502.
+func TestIsConnErrorServerClosedIdle(t *testing.T) {
+	err := &url.Error{Op: "Post", URL: "http://127.0.0.1:1/schedule", Err: errors.New("http: server closed idle connection")}
+	if !isConnError(err) {
+		t.Fatalf("isConnError(%v) = false, want true", err)
+	}
+	if isConnError(errors.New("decode response: unexpected status")) {
+		t.Fatal("an unrelated error classified as a connection error")
 	}
 }

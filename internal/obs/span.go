@@ -50,19 +50,23 @@ func (sp Span) End() time.Duration {
 }
 
 // Tee fans observations out to every non-nil sink; it collapses to nil
-// (the free no-op) when none remain.
+// (the free no-op) when none remain, and to the sink itself when one
+// does, which allocates nothing — the per-request case.
 func Tee(sinks ...Stages) Stages {
-	live := make([]Stages, 0, len(sinks))
+	n, last := 0, Stages(nil)
+	for _, s := range sinks {
+		if s != nil {
+			n, last = n+1, s
+		}
+	}
+	if n <= 1 {
+		return last
+	}
+	live := make([]Stages, 0, n)
 	for _, s := range sinks {
 		if s != nil {
 			live = append(live, s)
 		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
 	}
 	return func(stage string, d time.Duration) {
 		for _, s := range live {

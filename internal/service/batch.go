@@ -3,13 +3,9 @@ package service
 import (
 	"context"
 	"errors"
-	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/trace"
-	"repro/internal/verify"
 )
 
 // DefaultMaxBatchSpecs bounds the specs one batch may carry when
@@ -42,9 +38,25 @@ type BatchRequest struct {
 // BatchItem is one spec's outcome. Exactly one of Response and Error is
 // set: a spec whose scheduler run fails (infeasible capacity, referee
 // rejection) reports its error in place without failing the batch.
+// Fingerprint and CacheHit ride at the batch level; repeating them per
+// item would bloat large batches for no information.
 type BatchItem struct {
 	Response *Response `json:"response,omitempty"`
 	Error    string    `json:"error,omitempty"`
+
+	// err is the typed failure behind Error; a one-spec batch run for
+	// /schedule returns it as the request's error.
+	err error
+}
+
+// itemError is an item's error text: the failure without the "bad
+// request" prefix the same failure carries as a request error.
+func itemError(err error) string {
+	var re *RequestError
+	if errors.As(err, &re) {
+		return re.Err.Error()
+	}
+	return err.Error()
 }
 
 // BatchResponse carries the per-spec outcomes in request order.
@@ -65,160 +77,38 @@ type BatchResponse struct {
 func (s *Service) ScheduleBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	s.requests.Add(1)
 	start := time.Now()
-
-	resp, err := s.scheduleBatch(ctx, req)
-	switch {
-	case err == nil:
-		elapsed := time.Since(start)
+	resp, err := s.scheduleMany(ctx, req)
+	if elapsed := s.countOutcome(start, err); err == nil {
 		resp.ElapsedUS = elapsed.Microseconds()
-		s.completed.Add(1)
 		s.batches.Add(1)
 		s.batchSpecs.Add(uint64(len(req.Requests)))
-		s.observeServiceTime(elapsed)
-		s.metrics.request.ObserveDuration(elapsed)
-	case errors.Is(err, ErrOverloaded):
-		s.rejectedOverload.Add(1)
-	case errors.Is(err, ErrClosed):
-		s.rejectedClosed.Add(1)
-	case isRequestError(err):
-		s.badRequests.Add(1)
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.deadlineExpired.Add(1)
-	default:
-		s.internalErrors.Add(1)
 	}
 	return resp, err
 }
 
-func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	stages := obs.Tee(s.stages, obs.StagesFrom(ctx))
-
+// scheduleMany validates every spec up front, so a malformed batch is
+// rejected whole before any heavy work: mixing a typo'd algorithm into a
+// thousand-spec batch is a client bug, not a partial success.
+func (s *Service) scheduleMany(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	if len(req.Requests) == 0 {
 		return nil, badRequest("empty batch: no request specs")
 	}
 	if max := s.cfg.maxBatchSpecs(); len(req.Requests) > max {
 		return nil, badRequest("batch carries %d specs, limit %d", len(req.Requests), max)
 	}
-	// Specs are validated up front so a malformed batch is rejected
-	// whole before any heavy work: mixing a typo'd algorithm into a
-	// thousand-spec batch is a client bug, not a partial success.
 	schedulers := make([]sched.Scheduler, len(req.Requests))
 	for i, spec := range req.Requests {
-		scheduler, err := sched.ByName(spec.Algorithm)
+		scheduler, err := checkSpec(spec.Algorithm, spec.Capacity)
 		if err != nil {
 			return nil, badRequest("spec %d: %v", i, err)
 		}
-		if spec.Capacity < 0 {
-			return nil, badRequest("spec %d: negative capacity %d", i, spec.Capacity)
-		}
 		schedulers[i] = scheduler
 	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	sp := stages.Start("decode")
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
-	sp.End()
-	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr); err != nil {
-		return nil, err
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	if s.slots != nil {
-		select {
-		case s.slots <- struct{}{}:
-		default:
-			s.wg.Done()
-			return nil, ErrOverloaded
-		}
-	}
-	s.inflight.Add(1)
-	finished := func() {
-		if s.slots != nil {
-			<-s.slots
-		}
-		s.inflight.Add(-1)
-		s.wg.Done()
-	}
-
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-
-	sp = stages.Start("fingerprint")
-	fp := tr.Fingerprint()
-	sp.End()
-	work := func() (*BatchResponse, error) {
-		if s.testHookRunning != nil {
-			s.testHookRunning()
-		}
-		entry, outcome := s.resolveTable(stages, fp, tr, req.PeerHint)
-		resp := &BatchResponse{
-			Fingerprint:  fp.String(),
-			CacheHit:     outcome != cacheOutcomeBuild,
-			Responses:    make([]BatchItem, len(req.Requests)),
-			cacheOutcome: outcome,
-		}
-		for i, spec := range req.Requests {
-			resp.Responses[i] = s.runBatchSpec(stages, tr, entry, schedulers[i], spec)
-		}
-		return resp, nil
-	}
-	resp, err := awaitDone(ctx, work, finished)
+	resp, err := s.scheduleBatch(ctx, req, schedulers)
 	if err == nil {
 		s.cache.settle(resp.cacheOutcome)
 	}
 	return resp, err
-}
-
-// runBatchSpec runs one spec of a batch against the shared cache entry,
-// mapping a scheduler failure to a per-item error.
-func (s *Service) runBatchSpec(stages obs.Stages, tr *trace.Trace, entry *cacheEntry, scheduler sched.Scheduler, spec BatchSpec) BatchItem {
-	p := &sched.Problem{Model: entry.model, Table: entry.table, Capacity: spec.Capacity}
-	sp := stages.Start("sched." + strings.ToLower(scheduler.Name()))
-	schedule, err := scheduler.Schedule(p)
-	sp.End()
-	if err != nil {
-		return BatchItem{Error: err.Error()}
-	}
-	bd := p.Model.Evaluate(schedule)
-	resp := &Response{
-		Algorithm:  scheduler.Name(),
-		Grid:       tr.Grid.String(),
-		NumData:    tr.NumData,
-		NumWindows: tr.NumWindows(),
-		Capacity:   spec.Capacity,
-		Centers:    schedule.Centers,
-		Cost:       CostJSON{Residence: bd.Residence, Move: bd.Move, Total: bd.Total()},
-
-		// Fingerprint and CacheHit ride at the batch level; repeating
-		// them per item would bloat large batches for no information.
-	}
-	if spec.Verify {
-		sp := stages.Start("verify")
-		defer sp.End()
-		if err := verify.Check(tr, schedule, spec.Capacity); err != nil {
-			return BatchItem{Error: "service: referee rejected schedule: " + err.Error()}
-		}
-		claim := verify.Breakdown{Residence: bd.Residence, Move: bd.Move}
-		if err := verify.CrossCheck(tr, schedule, p.Model.DataSize, claim); err != nil {
-			return BatchItem{Error: "service: " + err.Error()}
-		}
-		resp.Verified = &CostJSON{Residence: claim.Residence, Move: claim.Move, Total: claim.Total()}
-	}
-	return BatchItem{Response: resp}
 }
 
 func (c Config) maxBatchSpecs() int {

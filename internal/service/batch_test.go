@@ -164,6 +164,30 @@ func TestScheduleBatchPerItemError(t *testing.T) {
 	if !reflect.DeepEqual(resp.Responses[1].Response.Centers, wantCenters) || resp.Responses[1].Response.Cost != wantCost {
 		t.Fatal("feasible spec's result differs from single run")
 	}
+
+	// The same failing spec alone on /schedule fails the whole request:
+	// a 400 carrying the item's error text, counted as a bad request
+	// and settling no cache outcome.
+	before := svc.Stats()
+	single, data := postJSON(t, ts.Client(), ts.URL+"/schedule", Request{Trace: text, Algorithm: "gomcds", Capacity: 1})
+	if single.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/schedule with the infeasible spec: status %d: %s", single.StatusCode, data)
+	}
+	if msg, want := decodeError(t, data), "service: bad request: "+resp.Responses[0].Error; msg != want {
+		t.Fatalf("/schedule error %q, want %q", msg, want)
+	}
+	after := svc.Stats()
+	if after.BadRequests != before.BadRequests+1 || after.Errors != before.Errors ||
+		after.Requests != before.Requests+1 || after.Completed != before.Completed {
+		t.Fatalf("requests/completed/bad_requests/errors moved %d/%d/%d/%d, want 1/0/1/0",
+			after.Requests-before.Requests, after.Completed-before.Completed,
+			after.BadRequests-before.BadRequests, after.Errors-before.Errors)
+	}
+	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses ||
+		after.CacheSharedBuild != before.CacheSharedBuild || after.Batches != before.Batches ||
+		after.BatchSpecs != before.BatchSpecs {
+		t.Fatalf("a failed /schedule moved cache or batch counters: before %+v, after %+v", before, after)
+	}
 }
 
 // TestTableGetServesCodecPayload covers the peer-fill read side: a

@@ -74,7 +74,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.Schedule(r.Context(), req)
 	if err != nil {
-		s.scheduleError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	sp := s.stages.Start("encode")
@@ -94,12 +94,19 @@ const PeerHintHeader = "X-Pim-Peer"
 // which a cold-tier table serves without recompression.
 const TableCodecHeader = "X-Pim-Table-Codec"
 
-// scheduleError maps a Schedule/ScheduleBatch error onto its status.
-func (s *Service) scheduleError(w http.ResponseWriter, err error) {
+// writeError maps a request error's class onto its status and writes
+// it: the one classification behind the schedule and session endpoints.
+func (s *Service) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
+	var notFound *ErrSessionNotFound
+	var exists *ErrSessionExists
 	switch {
 	case isRequestError(err):
 		status = http.StatusBadRequest
+	case errors.As(err, &notFound):
+		status = http.StatusNotFound
+	case errors.As(err, &exists):
+		status = http.StatusConflict
 	case errors.Is(err, ErrOverloaded):
 		// Headers must be installed before writeJSON calls
 		// WriteHeader: anything set afterwards is silently dropped.
@@ -124,7 +131,7 @@ func (s *Service) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.ScheduleBatch(r.Context(), req)
 	if err != nil {
-		s.scheduleError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	sp := s.stages.Start("encode")
@@ -208,27 +215,6 @@ func putBuffer(b *bytes.Buffer) {
 	bufferPool.Put(b)
 }
 
-// sessionError maps the session API's error classes onto statuses.
-func (s *Service) sessionError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	var notFound *ErrSessionNotFound
-	var exists *ErrSessionExists
-	switch {
-	case errors.As(err, &notFound):
-		status = http.StatusNotFound
-	case errors.As(err, &exists):
-		status = http.StatusConflict
-	case isRequestError(err):
-		status = http.StatusBadRequest
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
-		status = http.StatusServiceUnavailable
-	}
-	httpError(w, status, err.Error())
-}
-
 func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
 	if !s.decodeBody(w, r, &req) {
@@ -236,7 +222,7 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.CreateSession(req)
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -245,7 +231,7 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	info, err := s.SessionInfo(r.PathValue("id"))
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -253,7 +239,7 @@ func (s *Service) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.DeleteSession(r.PathValue("id")); err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -266,7 +252,7 @@ func (s *Service) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.ApplySessionDelta(r.PathValue("id"), d)
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -275,7 +261,7 @@ func (s *Service) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSessionSchedule(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.ScheduleSession(r.PathValue("id"))
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -284,7 +270,7 @@ func (s *Service) handleSessionSchedule(w http.ResponseWriter, r *http.Request) 
 func (s *Service) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 	exp, err := s.ExportSession(r.PathValue("id"))
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, exp)
@@ -297,7 +283,7 @@ func (s *Service) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.ImportSession(exp)
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/delta"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -76,25 +75,16 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	if exp.SessionID == "" {
 		return nil, badRequest("import without session_id")
 	}
-	scheduler, err := sched.ByName(exp.Algorithm)
+	scheduler, err := checkSpec(exp.Algorithm, exp.Capacity)
 	if err != nil {
 		return nil, &RequestError{Err: err}
-	}
-	if exp.Capacity < 0 {
-		return nil, badRequest("negative capacity %d", exp.Capacity)
-	}
-	if int64(len(exp.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(exp.Trace), s.cfg.maxBodyBytes())
 	}
 	wantFP, err := trace.ParseFingerprint(exp.Fingerprint)
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	tr, err := trace.Decode(strings.NewReader(exp.Trace))
+	tr, err := s.ingestTrace(s.stages, exp.Trace)
 	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr); err != nil {
 		return nil, err
 	}
 	// The shipped table is decoded under the same cell budget the trace
@@ -112,21 +102,10 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.admitSession(exp.SessionID); err != nil {
+		return nil, err
 	}
-	if _, ok := s.sessions[exp.SessionID]; ok {
-		return nil, &ErrSessionExists{ID: exp.SessionID}
-	}
-	if len(s.sessions) >= s.cfg.maxSessions() {
-		return nil, fmt.Errorf("%w: %d sessions live", ErrOverloaded, len(s.sessions))
-	}
-	sess, err := delta.RestoreSession(tr, scheduler, exp.Capacity, exp.Seq, table, delta.Options{
-		Stages: s.stages,
-		OnLayersRecomputed: func(layers int) {
-			s.deltaLayersRecomputed.Store(int64(layers))
-		},
-	})
+	sess, err := delta.RestoreSession(tr, scheduler, exp.Capacity, exp.Seq, table, s.sessionOptions())
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
@@ -136,9 +115,6 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	if got := sess.Fingerprint(); got != wantFP {
 		return nil, errors.New("service: restored session fingerprint " + got.String() +
 			" does not match export " + wantFP.String())
-	}
-	if s.sessions == nil {
-		s.sessions = make(map[string]*sessionEntry)
 	}
 	s.sessions[exp.SessionID] = &sessionEntry{id: exp.SessionID, sess: sess, grid: tr.Grid.String()}
 	s.sessionsImported.Add(1)

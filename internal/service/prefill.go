@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/cost"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // PrefillRequest asks a shard to adopt a trace's residence table from a
@@ -43,25 +42,14 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	if req.PeerHint == "" {
 		return badRequest("prefill without %s header", PeerHintHeader)
 	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
+	tr, err := s.ingestTrace(obs.Tee(s.stages, obs.StagesFrom(ctx)), req.Trace)
 	if err != nil {
-		return &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr); err != nil {
 		return err
 	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	if err := s.admit(false); err != nil {
+		return err
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
+	defer s.release(false)
 
 	fp := tr.Fingerprint()
 	if s.cache.resident(fp) {
@@ -74,11 +62,8 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	if err != nil {
 		return fmt.Errorf("service: prefill fetch from %s: %w", req.PeerHint, err)
 	}
-	if table.NumWindows() != tr.NumWindows() || table.NumData() != tr.NumData ||
-		table.NumProcs() != tr.Grid.NumProcs() {
-		return fmt.Errorf("service: prefill table shape %dx%dx%d does not match trace %dx%dx%d",
-			table.NumWindows(), table.NumData(), table.NumProcs(),
-			tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
+	if err := checkTableShape(table, tr); err != nil {
+		return fmt.Errorf("service: prefill %w", err)
 	}
 	m := cost.NewModel(tr)
 	m.Stages = s.stages

@@ -1,18 +1,21 @@
 // Package service turns the one-shot schedulers of internal/sched into
-// a long-running, concurrency-bounded scheduling service: the substrate
-// the ROADMAP's "heavy traffic" north star builds on.
+// a long-running, concurrency-bounded scheduling shard: the unit the
+// cluster router (internal/cluster) places traces on.
 //
 // A Service accepts schedule requests (a trace in the pimtrace v1 text
 // codec plus an algorithm name and memory capacity), runs the requested
 // scheduler, and returns the center matrix with its cost breakdown.
-// Three properties distinguish it from calling sched directly:
+// /schedule and /schedule/batch share one pipeline: a single request is
+// a one-spec batch. Three properties distinguish it from calling sched
+// directly:
 //
 //   - Model reuse. Cost models and residence tables — the dominant cost
-//     of a scheduler run — are cached in an LRU keyed by the trace's
-//     canonical trace.Fingerprint. Requests carrying a trace already
-//     seen skip the rebuild entirely; concurrent misses on the same
-//     fingerprint are deduplicated so the table is built exactly once
-//     (singleflight).
+//     of a scheduler run — are cached by the trace's canonical
+//     trace.Fingerprint in a bytes-bounded two-tier cache: flat tables
+//     in the hot tier, compressed pimtab-v2 payloads in the cold tier
+//     (see cache.go). Requests carrying a trace already seen skip the
+//     rebuild; concurrent misses on the same fingerprint are
+//     deduplicated so the table is built exactly once (singleflight).
 //   - Bounded concurrency. At most MaxInflight schedule computations
 //     run at once; excess load is shed immediately with ErrOverloaded
 //     (HTTP 429 + Retry-After) instead of queuing unboundedly.
@@ -194,17 +197,52 @@ func (c Config) maxTableCells() int64 {
 	return c.MaxTableCells
 }
 
-// checkTraceScale rejects a trace whose declared shape implies a
+// ingestTrace is the one intake path of every trace-carrying request:
+// the size limit on the inline text, the timed pimtrace decode, and the
+// scale guard, which rejects a trace whose declared shape implies a
 // residence table over the cell budget. The product is taken in
 // float64: each factor has already been validated non-negative, but
 // their product can overflow int64 and a guard that overflows is no
 // guard.
-func (s *Service) checkTraceScale(tr *trace.Trace) error {
+func (s *Service) ingestTrace(stages obs.Stages, text string) (*trace.Trace, error) {
+	if int64(len(text)) > s.cfg.maxBodyBytes() {
+		return nil, badRequest("trace text %d bytes exceeds limit %d", len(text), s.cfg.maxBodyBytes())
+	}
+	sp := stages.Start("decode")
+	tr, err := trace.Decode(strings.NewReader(text))
+	sp.End()
+	if err != nil {
+		return nil, &RequestError{Err: err}
+	}
 	cells := float64(tr.NumWindows()) * float64(tr.NumData) *
 		float64(tr.Grid.Width()) * float64(tr.Grid.Height())
 	if cells > float64(s.cfg.maxTableCells()) {
-		return badRequest("trace shape %d windows x %d data x %s implies %.3g residence-table cells, limit %d",
+		return nil, badRequest("trace shape %d windows x %d data x %s implies %.3g residence-table cells, limit %d",
 			tr.NumWindows(), tr.NumData, tr.Grid, cells, s.cfg.maxTableCells())
+	}
+	return tr, nil
+}
+
+// checkSpec is the one algorithm and capacity validation of every
+// scheduling entry point. The error is bare: callers wrap it as their
+// request error.
+func checkSpec(algorithm string, capacity int) (sched.Scheduler, error) {
+	scheduler, err := sched.ByName(algorithm)
+	if err == nil && capacity < 0 {
+		err = fmt.Errorf("negative capacity %d", capacity)
+	}
+	return scheduler, err
+}
+
+// checkTableShape cross-checks a table this request did not build
+// itself (a peer fill, a cold-tier promotion, a prefill) against the
+// trace it is meant to serve.
+func checkTableShape(table cost.ResidenceTable, tr *trace.Trace) error {
+	if table.NumWindows() != tr.NumWindows() || table.NumData() != tr.NumData ||
+		table.NumProcs() != tr.Grid.NumProcs() {
+		return fmt.Errorf("table shape %dx%dx%d does not match trace %dx%dx%d",
+			table.NumWindows(), table.NumData(), table.NumProcs(),
+			tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
 	}
 	return nil
 }
@@ -246,11 +284,6 @@ type Response struct {
 	Fingerprint string    `json:"fingerprint"`
 	CacheHit    bool      `json:"cache_hit"`
 	ElapsedUS   int64     `json:"elapsed_us"`
-
-	// cacheOutcome remembers how this request resolved against the
-	// table cache; Schedule settles it into the counters only when the
-	// response is actually delivered.
-	cacheOutcome cacheOutcome
 }
 
 // Stats is a snapshot of the service's counters, served at /stats.
@@ -352,7 +385,11 @@ type Service struct {
 
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
-	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheSize(), cfg.cacheBytes(), !cfg.DisableColdTier)}
+	s := &Service{
+		cfg:      cfg,
+		cache:    newTableCache(cfg.cacheSize(), cfg.cacheBytes(), !cfg.DisableColdTier),
+		sessions: make(map[string]*sessionEntry),
+	}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -455,21 +492,53 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Schedule runs one request. It validates and decodes the trace, takes
-// a concurrency slot (or sheds), resolves the fingerprint against the
-// model cache (building at most once per fingerprint), runs the
-// scheduler, and optionally referees the result. The context bounds the
-// caller's wait, not the computation: an expired context returns
-// immediately while the work completes in the background.
+// Schedule runs one request as a one-spec batch through the shard's
+// schedule pipeline (scheduleBatch) and unwraps the item: the spec's
+// failure is the request's error, and the batch-level fingerprint and
+// cache outcome move onto the response. The context bounds the caller's
+// wait, not the computation: an expired context returns immediately
+// while the work completes in the background.
 func (s *Service) Schedule(ctx context.Context, req Request) (*Response, error) {
 	s.requests.Add(1)
 	start := time.Now()
+	resp, err := s.scheduleOne(ctx, req)
+	if elapsed := s.countOutcome(start, err); err == nil {
+		resp.ElapsedUS = elapsed.Microseconds()
+	}
+	return resp, err
+}
 
-	resp, err := s.schedule(ctx, req)
+func (s *Service) scheduleOne(ctx context.Context, req Request) (*Response, error) {
+	scheduler, err := checkSpec(req.Algorithm, req.Capacity)
+	if err != nil {
+		return nil, &RequestError{Err: err}
+	}
+	spec := []BatchSpec{{Algorithm: req.Algorithm, Capacity: req.Capacity, Verify: req.Verify}}
+	batch, err := s.scheduleBatch(ctx, BatchRequest{Trace: req.Trace, Requests: spec, PeerHint: req.PeerHint},
+		[]sched.Scheduler{scheduler})
+	if err != nil {
+		return nil, err
+	}
+	item := batch.Responses[0]
+	if item.err != nil {
+		return nil, item.err
+	}
+	// The hit/shared-build counters settle only on a delivered response:
+	// a waiter abandoned by its context while the build was still in
+	// flight never delivered a table, so it must not count as cache
+	// traffic (the regression test pins this down).
+	s.cache.settle(batch.cacheOutcome)
+	item.Response.Fingerprint, item.Response.CacheHit = batch.Fingerprint, batch.CacheHit
+	return item.Response, nil
+}
+
+// countOutcome classifies a finished schedule request into the request
+// counters and returns its elapsed time; a completed request also feeds
+// the Retry-After average and the request-duration histogram.
+func (s *Service) countOutcome(start time.Time, err error) time.Duration {
+	elapsed := time.Since(start)
 	switch {
 	case err == nil:
-		elapsed := time.Since(start)
-		resp.ElapsedUS = elapsed.Microseconds()
 		s.completed.Add(1)
 		s.observeServiceTime(elapsed)
 		s.metrics.request.ObserveDuration(elapsed)
@@ -484,7 +553,7 @@ func (s *Service) Schedule(ctx context.Context, req Request) (*Response, error) 
 	default:
 		s.internalErrors.Add(1)
 	}
-	return resp, err
+	return elapsed
 }
 
 func isRequestError(err error) bool {
@@ -492,123 +561,141 @@ func isRequestError(err error) bool {
 	return errors.As(err, &re)
 }
 
-func (s *Service) schedule(ctx context.Context, req Request) (*Response, error) {
-	// Per-stage spans record into the service histograms and any sink
-	// the caller carried in via obs.WithStages (pimbench-style
-	// breakdowns over an embedded service).
-	stages := obs.Tee(s.stages, obs.StagesFrom(ctx))
-
-	scheduler, err := sched.ByName(req.Algorithm)
-	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if req.Capacity < 0 {
-		return nil, badRequest("negative capacity %d", req.Capacity)
-	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	sp := stages.Start("decode")
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
-	sp.End()
-	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr); err != nil {
-		return nil, err
-	}
-
-	// Refuse after Close; wg.Add under the same lock so Close's Wait
-	// cannot slip between the check and the registration.
+// admit registers one unit of request work with Close's drain, refusing
+// once Close began (wg.Add under the same lock, so Close's Wait cannot
+// slip between the check and the registration). With slot it also
+// claims a concurrency slot without queuing: full means shed now.
+// release(slot) gives back what admit took.
+func (s *Service) admit(slot bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
-
-	// Claim a concurrency slot without queuing: full means shed now.
+	if !slot {
+		return nil
+	}
 	if s.slots != nil {
 		select {
 		case s.slots <- struct{}{}:
 		default:
 			s.wg.Done()
-			return nil, ErrOverloaded
+			return ErrOverloaded
 		}
 	}
 	s.inflight.Add(1)
-	finished := func() {
+	return nil
+}
+
+func (s *Service) release(slot bool) {
+	if slot {
 		if s.slots != nil {
 			<-s.slots
 		}
 		s.inflight.Add(-1)
-		s.wg.Done()
 	}
+	s.wg.Done()
+}
 
+// scheduleBatch is the shard's one schedule pipeline, behind both
+// /schedule and /schedule/batch: ingest the trace, admit the request,
+// fingerprint it, resolve the table cache once, then run every spec
+// (already validated into schedulers) against the shared {model,
+// table}. The request holds one concurrency slot for its whole run and
+// is one unit of deadline; an expired context returns at once while the
+// work finishes in the background, still holding the slot. The caller
+// settles the returned cache outcome once it knows the request
+// delivered.
+func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest, schedulers []sched.Scheduler) (*BatchResponse, error) {
+	// Per-stage spans record into the service histograms and any sink
+	// the caller carried in via obs.WithStages (pimbench-style
+	// breakdowns over an embedded service).
+	stages := obs.Tee(s.stages, obs.StagesFrom(ctx))
+	tr, err := s.ingestTrace(stages, req.Trace)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.admit(true); err != nil {
+		return nil, err
+	}
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-
-	sp = stages.Start("fingerprint")
+	sp := stages.Start("fingerprint")
 	fp := tr.Fingerprint()
 	sp.End()
-	work := func() (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		s.release(true)
+		return nil, err
+	}
+
+	// The worker fills resp and closes done; a caller that gave up on
+	// its context never reads resp.
+	resp := &BatchResponse{Fingerprint: fp.String(), Responses: make([]BatchItem, len(req.Requests))}
+	done := make(chan struct{})
+	go func() {
+		defer s.release(true)
+		defer close(done)
 		if s.testHookRunning != nil {
 			s.testHookRunning()
 		}
 		entry, outcome := s.resolveTable(stages, fp, tr, req.PeerHint)
-		p := &sched.Problem{Model: entry.model, Table: entry.table, Capacity: req.Capacity}
-		sp := stages.Start("sched." + strings.ToLower(scheduler.Name()))
-		schedule, err := scheduler.Schedule(p)
-		sp.End()
-		if err != nil {
-			return nil, &RequestError{Err: err} // infeasible capacity etc.
-		}
-		bd := p.Model.Evaluate(schedule)
-		resp := &Response{
-			Algorithm:    scheduler.Name(),
-			Grid:         tr.Grid.String(),
-			NumData:      tr.NumData,
-			NumWindows:   tr.NumWindows(),
-			Capacity:     req.Capacity,
-			Centers:      schedule.Centers,
-			Cost:         CostJSON{Residence: bd.Residence, Move: bd.Move, Total: bd.Total()},
-			Fingerprint:  fp.String(),
-			CacheHit:     outcome != cacheOutcomeBuild,
-			cacheOutcome: outcome,
-		}
-		if req.Verify {
-			sp := stages.Start("verify")
-			err := func() error {
-				if err := verify.Check(tr, schedule, req.Capacity); err != nil {
-					return fmt.Errorf("service: referee rejected schedule: %v", err)
-				}
-				claim := verify.Breakdown{Residence: bd.Residence, Move: bd.Move}
-				if err := verify.CrossCheck(tr, schedule, p.Model.DataSize, claim); err != nil {
-					return fmt.Errorf("service: %v", err)
-				}
-				resp.Verified = &CostJSON{Residence: claim.Residence, Move: claim.Move, Total: claim.Total()}
-				return nil
-			}()
-			sp.End()
+		resp.CacheHit, resp.cacheOutcome = outcome != cacheOutcomeBuild, outcome
+		for i, spec := range req.Requests {
+			r, err := s.runSpec(stages, tr, entry, schedulers[i], spec)
+			resp.Responses[i] = BatchItem{Response: r, err: err}
 			if err != nil {
-				return nil, err
+				resp.Responses[i].Error = itemError(err)
 			}
 		}
+	}()
+	select {
+	case <-done:
 		return resp, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	resp, err := awaitDone(ctx, work, finished)
-	if err == nil {
-		// The hit/shared-build counters settle here, on the actual
-		// outcome: a waiter abandoned by its context while the build was
-		// still in flight never delivered a table, so it must not count
-		// as cache traffic (the regression test pins this down).
-		s.cache.settle(resp.cacheOutcome)
+}
+
+// runSpec runs one spec against the resolved cache entry and, when
+// asked, referees the result. Its error is what /schedule reports: a
+// *RequestError for an infeasible capacity, a plain error for a referee
+// rejection.
+func (s *Service) runSpec(stages obs.Stages, tr *trace.Trace, entry *cacheEntry, scheduler sched.Scheduler, spec BatchSpec) (*Response, error) {
+	p := &sched.Problem{Model: entry.model, Table: entry.table, Capacity: spec.Capacity}
+	sp := stages.Start("sched." + strings.ToLower(scheduler.Name()))
+	schedule, err := scheduler.Schedule(p)
+	sp.End()
+	if err != nil {
+		return nil, &RequestError{Err: err}
 	}
-	return resp, err
+	bd := p.Model.Evaluate(schedule)
+	resp := &Response{
+		Algorithm:  scheduler.Name(),
+		Grid:       tr.Grid.String(),
+		NumData:    tr.NumData,
+		NumWindows: tr.NumWindows(),
+		Capacity:   spec.Capacity,
+		Centers:    schedule.Centers,
+		Cost:       CostJSON{Residence: bd.Residence, Move: bd.Move, Total: bd.Total()},
+	}
+	if spec.Verify {
+		sp := stages.Start("verify")
+		defer sp.End()
+		if err := verify.Check(tr, schedule, spec.Capacity); err != nil {
+			return nil, fmt.Errorf("service: referee rejected schedule: %v", err)
+		}
+		claim := verify.Breakdown{Residence: bd.Residence, Move: bd.Move}
+		if err := verify.CrossCheck(tr, schedule, p.Model.DataSize, claim); err != nil {
+			return nil, fmt.Errorf("service: %v", err)
+		}
+		resp.Verified = &CostJSON{Residence: claim.Residence, Move: claim.Move, Total: claim.Total()}
+	}
+	return resp, nil
 }
 
 // resolveTable resolves a fingerprint against the table cache. The
@@ -670,7 +757,7 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 		// Another request is building this entry; its worker
 		// always completes (pure CPU work), so waiting here
 		// cannot hang. Our own caller is still free to time out
-		// via awaitDone.
+		// (scheduleBatch waits on its context too).
 		sp := stages.Start("table.wait")
 		<-entry.ready
 		sp.End()
@@ -690,13 +777,7 @@ func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, tr *trace.Tr
 	if gotFP != fp {
 		return cost.ResidenceTable{}, fmt.Errorf("cold table is for %s, want %s", gotFP, fp)
 	}
-	if table.NumWindows() != tr.NumWindows() || table.NumData() != tr.NumData ||
-		table.NumProcs() != tr.Grid.NumProcs() {
-		return cost.ResidenceTable{}, fmt.Errorf("cold table shape %dx%dx%d does not match trace %dx%dx%d",
-			table.NumWindows(), table.NumData(), table.NumProcs(),
-			tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
-	}
-	return table, nil
+	return table, checkTableShape(table, tr)
 }
 
 // fetchPeerTable asks the hinted peer for its cached table, bounded by
@@ -715,11 +796,8 @@ func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, tr *tr
 	sp := stages.Start("table.peerfill")
 	table, err := s.cfg.PeerFill(ctx, fp, peerHint)
 	sp.End()
-	if err == nil && (table.NumWindows() != tr.NumWindows() ||
-		table.NumData() != tr.NumData || table.NumProcs() != tr.Grid.NumProcs()) {
-		err = fmt.Errorf("peer table shape %dx%dx%d does not match trace %dx%dx%d",
-			table.NumWindows(), table.NumData(), table.NumProcs(),
-			tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
+	if err == nil {
+		err = checkTableShape(table, tr)
 	}
 	if err != nil {
 		s.peerFillFallback.Add(1)
@@ -727,32 +805,4 @@ func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, tr *tr
 	}
 	s.peerFills.Add(1)
 	return table, true
-}
-
-// awaitDone runs fn in a goroutine and waits for it or for the context,
-// whichever finishes first; done fires exactly once, when fn actually
-// returns (or immediately if the context was dead before fn started).
-// It mirrors sched.RunContextDone for the service's own composite work.
-func awaitDone[T any](ctx context.Context, fn func() (T, error), done func()) (T, error) {
-	var zero T
-	if err := ctx.Err(); err != nil {
-		done()
-		return zero, err
-	}
-	type result struct {
-		v   T
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := fn()
-		ch <- result{v, err}
-		done()
-	}()
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-ctx.Done():
-		return zero, ctx.Err()
-	}
 }

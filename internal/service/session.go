@@ -4,13 +4,10 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/delta"
-	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // DefaultMaxSessions bounds concurrently live incremental sessions when
@@ -100,38 +97,21 @@ func (c Config) maxSessions() int {
 // table work ever runs again for this session's deltas), and registers
 // it under a fresh ID.
 func (s *Service) CreateSession(req CreateSessionRequest) (*SessionInfo, error) {
-	scheduler, err := sched.ByName(req.Algorithm)
+	scheduler, err := checkSpec(req.Algorithm, req.Capacity)
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	if req.Capacity < 0 {
-		return nil, badRequest("negative capacity %d", req.Capacity)
-	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
+	tr, err := s.ingestTrace(s.stages, req.Trace)
 	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr); err != nil {
 		return nil, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.admitSession(""); err != nil {
+		return nil, err
 	}
-	if len(s.sessions) >= s.cfg.maxSessions() {
-		return nil, fmt.Errorf("%w: %d sessions live", ErrOverloaded, len(s.sessions))
-	}
-	sess, err := delta.NewSession(tr, scheduler, req.Capacity, delta.Options{
-		Stages: s.stages,
-		OnLayersRecomputed: func(layers int) {
-			s.deltaLayersRecomputed.Store(int64(layers))
-		},
-	})
+	sess, err := delta.NewSession(tr, scheduler, req.Capacity, s.sessionOptions())
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
@@ -146,12 +126,36 @@ func (s *Service) CreateSession(req CreateSessionRequest) (*SessionInfo, error) 
 		return nil, fmt.Errorf("service: session id: %w", err)
 	}
 	id := fmt.Sprintf("s%06d-%s", s.sessionSeq, hex.EncodeToString(nonce[:]))
-	if s.sessions == nil {
-		s.sessions = make(map[string]*sessionEntry)
-	}
 	s.sessions[id] = &sessionEntry{id: id, sess: sess, grid: tr.Grid.String()}
 	s.sessionsCreated.Add(1)
 	return s.sessionInfo(s.sessions[id]), nil
+}
+
+// admitSession is session admission, under s.mu: refuse once Close
+// began, refuse an ID this shard already holds (CreateSession passes
+// "", which none does), and claim one of the MaxSessions slots.
+func (s *Service) admitSession(id string) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if _, ok := s.sessions[id]; ok {
+		return &ErrSessionExists{ID: id}
+	}
+	if len(s.sessions) >= s.cfg.maxSessions() {
+		return fmt.Errorf("%w: %d sessions live", ErrOverloaded, len(s.sessions))
+	}
+	return nil
+}
+
+// sessionOptions wire a session into the service's stage histograms and
+// its layers-recomputed gauge.
+func (s *Service) sessionOptions() delta.Options {
+	return delta.Options{
+		Stages: s.stages,
+		OnLayersRecomputed: func(layers int) {
+			s.deltaLayersRecomputed.Store(int64(layers))
+		},
+	}
 }
 
 func (s *Service) sessionInfo(e *sessionEntry) *SessionInfo {

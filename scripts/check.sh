@@ -20,6 +20,13 @@ go build ./internal/service ./cmd/pimserve
 echo "== go test -race =="
 go test -race "$@" ./...
 
+# GOMAXPROCS sweep: the concurrency-bearing packages again at 1, 2 and
+# 8 procs, three times each, so no test can pass only at -cpu 1 (a
+# race of the workers against each other needs at least two Ps to
+# show). -short keeps the 100k-spec cluster load variant out.
+echo "== GOMAXPROCS sweep (-short -cpu 1,2,8 -count 3) =="
+go test -short -cpu 1,2,8 -count 3 ./internal/service ./internal/cluster ./internal/delta ./cmd/pimload
+
 # The scheduling service's load referee: >= 100 concurrent HTTP clients
 # against /schedule under the race detector, asserting responses match
 # single-threaded sched runs bit-for-bit and that the fingerprint cache
