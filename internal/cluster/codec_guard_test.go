@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // evilTableServer serves, for every GET /table/{fp} request, a
-// well-formed pimtab payload whose fingerprint matches the URL but
+// well-formed pimtab-v2 payload whose fingerprint matches the URL but
 // whose declared shape is 100x100x10 = 100k cells — modest on the wire,
 // but over any tight cell budget.
 func evilTableServer(t *testing.T) *httptest.Server {
@@ -26,7 +27,7 @@ func evilTableServer(t *testing.T) *httptest.Server {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		payload := cost.EncodeTable(fp, cost.NewResidenceTable(100, 100, 10))
+		payload := cost.EncodeTableV2(fp, cost.NewResidenceTable(100, 100, 10))
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(payload)
 	}))
@@ -114,77 +115,64 @@ func TestPrefillRejectsOversizedPeerTable(t *testing.T) {
 	}
 }
 
-// TestPeerFillNegotiatesV2 pins the wire-format negotiation matrix on a
-// real service: no header (or junk) serves pimtab-v1, the negotiation
-// token serves pimtab-v2, and both decode to the same cells — so old
-// and new peers interoperate in either direction.
-func TestPeerFillNegotiatesV2(t *testing.T) {
-	svc := service.New(service.Config{})
+// TestTableGetServesV2 pins the read side peer fill depends on, on a
+// real service: GET /table/{fp} serves pimtab-v2 whose cells equal a
+// fresh local build, both for a hot entry (encoded on the spot) and for
+// a demoted one (its stored cold payload, served without promotion).
+func TestTableGetServesV2(t *testing.T) {
+	texts := []string{clusterTrace(t, 5), clusterTrace(t, 8)}
+	fps := make([]trace.Fingerprint, len(texts))
+	want := make([]cost.ResidenceTable, len(texts))
+	for i, text := range texts {
+		tr, err := trace.Decode(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[i] = tr.Fingerprint()
+		want[i] = cost.NewModel(tr).BuildResidenceTable()
+	}
+	// Room for the second table flat and the first compressed, but not
+	// both flat: scheduling the second demotes the first.
+	budget := 8*int64(len(want[1].Cells())) + 4*int64(len(want[0].Cells()))
+	svc := service.New(service.Config{CacheBytes: budget})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	text := clusterTrace(t, 3)
-	if _, err := svc.Schedule(context.Background(), service.Request{Trace: text, Algorithm: "scds"}); err != nil {
-		t.Fatal(err)
+	for _, text := range texts {
+		if _, err := svc.Schedule(context.Background(), service.Request{Trace: text, Algorithm: "scds"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tr, err := trace.Decode(bytes.NewReader([]byte(text)))
-	if err != nil {
-		t.Fatal(err)
+	if st := svc.Stats(); st.CacheColdEntries != 1 || st.CacheHotEntries != 1 {
+		t.Fatalf("hot=%d cold=%d after two tables over budget %d, want 1/1", st.CacheHotEntries, st.CacheColdEntries, budget)
 	}
-	fp := tr.Fingerprint()
 
-	get := func(codec string) []byte {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, ts.URL+"/table/"+fp.String(), nil)
+	for i, tier := range []string{"cold", "hot"} {
+		resp, err := http.Get(ts.URL + "/table/" + fps[i].String())
 		if err != nil {
 			t.Fatal(err)
-		}
-		if codec != "" {
-			req.Header.Set(service.TableCodecHeader, codec)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /table with codec %q: status %d", codec, resp.StatusCode)
 		}
 		var buf bytes.Buffer
 		buf.ReadFrom(resp.Body)
-		return buf.Bytes()
-	}
-
-	v1 := get("")
-	junk := get("pimtab-v9")
-	v2 := get(cost.TableCodecV2)
-	if !bytes.HasPrefix(v1, []byte("pimtab-v1\n")) || !bytes.HasPrefix(junk, []byte("pimtab-v1\n")) {
-		t.Fatal("unnegotiated GET /table did not serve pimtab-v1")
-	}
-	if !bytes.HasPrefix(v2, []byte("pimtab-v2\n")) {
-		t.Fatal("negotiated GET /table did not serve pimtab-v2")
-	}
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 payload (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
-	}
-	fp1, t1, err := cost.DecodeTableAny(v1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, t2, err := cost.DecodeTableAny(v2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp1 != fp || fp2 != fp {
-		t.Fatal("served payloads carry the wrong fingerprint")
-	}
-	c1, c2 := t1.Cells(), t2.Cells()
-	if len(c1) != len(c2) {
-		t.Fatalf("cell counts differ: v1 %d, v2 %d", len(c1), len(c2))
-	}
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("cell %d differs across codecs: v1 %d, v2 %d", i, c1[i], c2[i])
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s GET /table: status %d: %s", tier, resp.StatusCode, buf.Bytes())
 		}
+		if !bytes.HasPrefix(buf.Bytes(), []byte("pimtab-v2\n")) {
+			t.Fatalf("%s GET /table did not serve pimtab-v2", tier)
+		}
+		gotFP, got, err := cost.DecodeTableV2(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", tier, err)
+		}
+		if gotFP != fps[i] {
+			t.Fatalf("%s payload is for %s, want %s", tier, gotFP, fps[i])
+		}
+		if !slices.Equal(got.Cells(), want[i].Cells()) {
+			t.Fatalf("%s served table cells differ from a fresh local build", tier)
+		}
+	}
+	if st := svc.Stats(); st.CacheColdEntries != 1 || st.CachePromotions != 0 || st.TablesServed != 2 {
+		t.Fatalf("after serving: cold=%d promotions=%d served=%d, want 1/0/2", st.CacheColdEntries, st.CachePromotions, st.TablesServed)
 	}
 }

@@ -412,7 +412,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestPeerFillStallFallsBackWithinDeadline pins the peer-fill deadline
-// path: a peer that answers GET /table/{fp} with valid pimtab-v1 header
+// path: a peer that answers GET /table/{fp} with valid pimtab-v2 header
 // bytes and then stalls mid-body must cost the builder at most
 // PeerFillTimeout before it falls back to a local build — and the hung
 // connection must not outlive the stall.
@@ -423,7 +423,7 @@ func TestPeerFillStallFallsBackWithinDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := tr.Fingerprint()
-	payload := cost.EncodeTable(fp, cost.NewModel(tr).BuildResidenceTable())
+	payload := cost.EncodeTableV2(fp, cost.NewModel(tr).BuildResidenceTable())
 
 	release := make(chan struct{})
 	var releaseOnce sync.Once

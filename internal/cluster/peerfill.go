@@ -17,9 +17,8 @@ import (
 const maxPeerTableBytes = 1 << 30
 
 // NewPeerFill returns the service.PeerFillFunc a shard installs to
-// adopt tables from peers: GET {peer}/table/{fingerprint}, negotiating
-// the compressed pimtab-v2 codec (a v1-only peer ignores the header and
-// sends flat tables; both decode), and verify the echoed fingerprint.
+// adopt tables from peers: GET {peer}/table/{fingerprint}, decode the
+// pimtab-v2 payload, and verify the echoed fingerprint.
 // maxTableCells bounds the cell count a payload's header may declare —
 // pass the same value as service.Config.MaxTableCells, so a shard never
 // adopts a table its own trace guards would refuse to build (<= 0 means
@@ -36,7 +35,6 @@ func NewPeerFill(client *http.Client, maxTableCells int64) service.PeerFillFunc 
 		if err != nil {
 			return cost.ResidenceTable{}, fmt.Errorf("cluster: peer fill: %w", err)
 		}
-		req.Header.Set(service.TableCodecHeader, cost.TableCodecV2)
 		resp, err := client.Do(req)
 		if err != nil {
 			return cost.ResidenceTable{}, fmt.Errorf("cluster: peer fill: %w", err)
@@ -55,7 +53,7 @@ func NewPeerFill(client *http.Client, maxTableCells int64) service.PeerFillFunc 
 		if len(payload) > maxPeerTableBytes {
 			return cost.ResidenceTable{}, fmt.Errorf("cluster: peer fill: table exceeds %d bytes", maxPeerTableBytes)
 		}
-		gotFP, table, err := cost.DecodeTableAny(payload, maxTableCells)
+		gotFP, table, err := cost.DecodeTableV2Limit(payload, maxTableCells)
 		if err != nil {
 			return cost.ResidenceTable{}, fmt.Errorf("cluster: peer fill: %w", err)
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,9 +115,10 @@ type sessionPin struct {
 // the key to a shard that already has the table. Session traffic is
 // pinned to the shard that created (or imported) the session.
 type Router struct {
-	cfg    RouterConfig
-	ring   *Ring
-	client *http.Client
+	cfg      RouterConfig
+	backends []string // cfg.Backends with trailing slashes trimmed
+	ring     *Ring
+	client   *http.Client
 
 	sessMu   sync.Mutex
 	sessions map[string]*sessionPin // session id -> pin
@@ -126,12 +128,11 @@ type Router struct {
 	streak   map[string]int
 	drained  map[string]struct{}
 
-	// Replica-fill bookkeeping: fills in flight and fills known done,
-	// keyed "backend|fingerprint". fillPending counts live fill
-	// goroutines; fillCond wakes WaitReplicaFills and Close.
+	// Replica-fill bookkeeping: fills in flight (one live goroutine
+	// each) and fills known done, keyed "backend|fingerprint". fillCond
+	// wakes WaitReplicaFills and Close.
 	fillMu       sync.Mutex
 	fillCond     *sync.Cond
-	fillPending  int
 	fillInflight map[string]struct{}
 	fillFilled   map[string]struct{}
 
@@ -186,8 +187,10 @@ func NewRouter(cfg RouterConfig) *Router {
 	if rt.client == nil {
 		rt.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
 	}
-	for _, b := range cfg.Backends {
-		rt.ring.Add(strings.TrimRight(b, "/"))
+	rt.backends = make([]string, len(cfg.Backends))
+	for i, b := range cfg.Backends {
+		rt.backends[i] = strings.TrimRight(b, "/")
+		rt.ring.Add(rt.backends[i])
 	}
 
 	rt.requests = rt.reg.Counter("pim_router_requests_total", "Requests routed to a backend.")
@@ -207,7 +210,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	rt.reg.GaugeFunc("pim_router_backends_healthy", "Ring members currently routable.",
 		func() float64 { return float64(rt.ring.Len()) })
 	rt.reg.GaugeFunc("pim_router_backends_known", "Backends configured, healthy or not.",
-		func() float64 { return float64(len(rt.cfg.Backends)) })
+		func() float64 { return float64(len(rt.backends)) })
 	rt.reg.GaugeFunc("pim_router_sessions_pinned", "Sessions currently pinned to a backend.",
 		func() float64 {
 			rt.sessMu.Lock()
@@ -218,7 +221,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		func() float64 {
 			rt.fillMu.Lock()
 			defer rt.fillMu.Unlock()
-			return float64(rt.fillPending)
+			return float64(len(rt.fillInflight))
 		})
 
 	if cfg.HealthInterval >= 0 {
@@ -301,8 +304,7 @@ func (rt *Router) healthLoop() {
 // entirely: an operator took them out, only an undrain lets them back.
 // It is the only path back into the ring after an ejection.
 func (rt *Router) CheckHealth() {
-	for _, b := range rt.cfg.Backends {
-		backend := strings.TrimRight(b, "/")
+	for _, backend := range rt.backends {
 		if rt.isDrained(backend) {
 			continue
 		}
@@ -687,7 +689,7 @@ func (rt *Router) peerHintFor(key []byte, owner string) string {
 // owners: for each replica that has not been filled yet, an async POST
 // /table/prefill tells it to adopt the table from the shard that just
 // served the request, over the same GET /table/{fingerprint} fetch
-// peer fill uses (which negotiates the compressed pimtab-v2 codec).
+// peer fill uses (pimtab-v2).
 // Fills are deduplicated per (backend, fingerprint), forgotten when the
 // backend is ejected (a crash-restarted process lost its cache), and
 // never touch the request counters — they are the router's own
@@ -713,7 +715,6 @@ func (rt *Router) maybeFillReplicas(info routeInfo, source string) {
 			continue
 		}
 		rt.fillInflight[k] = struct{}{}
-		rt.fillPending++
 		rt.fillMu.Unlock()
 		go rt.fillReplica(k, o, source, info.trace)
 	}
@@ -726,7 +727,6 @@ func (rt *Router) fillReplica(k, replica, source, traceText string) {
 	if err == nil {
 		rt.fillFilled[k] = struct{}{}
 	}
-	rt.fillPending--
 	rt.fillCond.Broadcast()
 	rt.fillMu.Unlock()
 	if err == nil {
@@ -779,7 +779,7 @@ func (rt *Router) forgetFills(backend string) {
 // a router never leaks fill goroutines past its own lifetime.
 func (rt *Router) WaitReplicaFills() {
 	rt.fillMu.Lock()
-	for rt.fillPending > 0 {
+	for len(rt.fillInflight) > 0 {
 		rt.fillCond.Wait()
 	}
 	rt.fillMu.Unlock()
@@ -991,10 +991,8 @@ func (rt *Router) adminBackend(w http.ResponseWriter, r *http.Request) (string, 
 		routerError(w, http.StatusBadRequest, "cluster: missing ?backend= parameter")
 		return "", false
 	}
-	for _, b := range rt.cfg.Backends {
-		if strings.TrimRight(b, "/") == backend {
-			return backend, true
-		}
+	if slices.Contains(rt.backends, backend) {
+		return backend, true
 	}
 	routerError(w, http.StatusNotFound, "cluster: unknown backend "+backend)
 	return "", false
@@ -1059,7 +1057,7 @@ func (rt *Router) Stats() RouterStats {
 	pinned := len(rt.sessions)
 	rt.sessMu.Unlock()
 	rt.fillMu.Lock()
-	pending := rt.fillPending
+	pending := len(rt.fillInflight)
 	rt.fillMu.Unlock()
 	rt.healthMu.Lock()
 	drained := make([]string, 0, len(rt.drained))
@@ -1068,12 +1066,8 @@ func (rt *Router) Stats() RouterStats {
 	}
 	rt.healthMu.Unlock()
 	sort.Strings(drained)
-	known := make([]string, len(rt.cfg.Backends))
-	for i, b := range rt.cfg.Backends {
-		known[i] = strings.TrimRight(b, "/")
-	}
 	return RouterStats{
-		Backends:            known,
+		Backends:            slices.Clone(rt.backends),
 		Healthy:             rt.ring.Members(),
 		Drained:             drained,
 		Replication:         rt.replication(),

@@ -125,7 +125,7 @@ func NewSession(t *trace.Trace, scheduler sched.Scheduler, capacity int, opts Op
 // table is adopted, not rebuilt — migration is a transfer — and the
 // caller hands over ownership of it. Its shape must match the trace;
 // content integrity is the caller's concern (the service layer pins it
-// to the exported fingerprint through the pimtab-v1 echo). Per-item DP
+// to the exported fingerprint through the pimtab-v2 echo). Per-item DP
 // state starts fully dirty, so the first Schedule call re-solves every
 // item from the adopted table; results are bit-identical to the
 // originating session because the DP is a pure function of the table.

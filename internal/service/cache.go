@@ -180,16 +180,6 @@ type tableCache struct {
 	demotions, promotions, admissionRejects uint64
 }
 
-// cacheStats is one consistent snapshot of the cache counters.
-type cacheStats struct {
-	hits, misses, sharedBuilds, evictions   uint64
-	demotions, promotions, admissionRejects uint64
-	hotEntries, coldEntries                 int
-	bytes                                   int64
-}
-
-func (st cacheStats) entries() int { return st.hotEntries + st.coldEntries }
-
 func newTableCache(maxEntries int, maxBytes int64, coldTier bool) *tableCache {
 	// A capacity below one would let enforcement evict the entry just
 	// published, silently degrading singleflight to build-per-request;
@@ -280,16 +270,15 @@ func (c *tableCache) resident(fp trace.Fingerprint) bool {
 	return true
 }
 
-// encodedTable returns the wire encoding of fp's cached table for the
-// peer-fill read side (GET /table/{fingerprint}), in pimtab-v2 when the
-// peer negotiated it, else pimtab-v1. A fingerprint that is absent or
-// still being built reports false: a fill request is always answered in
-// bounded time, never blocked on an in-flight build. A cold hit serves
-// the stored compressed payload directly to v2 peers — the negotiation
-// exists precisely so cluster fill traffic rides the cold tier for
-// free. Like resident, it refreshes recency (a table a peer wants is a
-// table worth keeping) but counts neither hit nor miss.
-func (c *tableCache) encodedTable(fp trace.Fingerprint, wantV2 bool) ([]byte, bool) {
+// encodedTable returns the pimtab-v2 encoding of fp's cached table
+// for the peer-fill read side (GET /table/{fingerprint}). A fingerprint
+// that is absent or still being built reports false: a fill request is
+// always answered in bounded time, never blocked on an in-flight build.
+// A cold entry serves its stored payload as is, so cluster fill traffic
+// rides the cold tier for free; a hot entry is encoded on the spot.
+// Like resident, it refreshes recency (a table a peer wants is a table
+// worth keeping) but counts neither hit nor miss.
+func (c *tableCache) encodedTable(fp trace.Fingerprint) ([]byte, bool) {
 	c.mu.Lock()
 	var entry *cacheEntry
 	var comp []byte
@@ -306,21 +295,10 @@ func (c *tableCache) encodedTable(fp trace.Fingerprint, wantV2 bool) ([]byte, bo
 	}
 	c.mu.Unlock()
 	switch {
-	case entry != nil && wantV2:
-		return cost.EncodeTableV2(fp, entry.table), true
 	case entry != nil:
-		return cost.EncodeTable(fp, entry.table), true
-	case comp != nil && wantV2:
-		return comp, true
+		return cost.EncodeTableV2(fp, entry.table), true
 	case comp != nil:
-		// A pre-v2 peer asked for a cold table: transcode. Rare — only
-		// mixed-version fleets hit it — and still cheaper than a 404
-		// that forces the peer to rebuild.
-		_, t, err := cost.DecodeTableAny(comp, 0)
-		if err != nil {
-			return nil, false
-		}
-		return cost.EncodeTable(fp, t), true
+		return comp, true
 	}
 	return nil, false
 }
@@ -508,15 +486,22 @@ func (c *tableCache) remove(n *cacheNode) {
 	c.bytes -= n.bytes
 }
 
-// counters returns a snapshot of the cache statistics.
-func (c *tableCache) counters() cacheStats {
+// counters returns one consistent snapshot of the cache statistics as
+// a Stats with only its cache fields set.
+func (c *tableCache) counters() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return cacheStats{
-		hits: c.hits, misses: c.misses, sharedBuilds: c.sharedBuilds,
-		evictions: c.evictions, demotions: c.demotions,
-		promotions: c.promotions, admissionRejects: c.admissionRejects,
-		hotEntries: c.hot.Len(), coldEntries: c.cold.Len(),
-		bytes: c.bytes,
+	return Stats{
+		CacheHits:         c.hits,
+		CacheMisses:       c.misses,
+		CacheSharedBuild:  c.sharedBuilds,
+		CacheEvictions:    c.evictions,
+		CacheEntries:      c.hot.Len() + c.cold.Len(),
+		CacheHotEntries:   c.hot.Len(),
+		CacheColdEntries:  c.cold.Len(),
+		CacheBytes:        c.bytes,
+		CacheDemotions:    c.demotions,
+		CachePromotions:   c.promotions,
+		CacheAdmitRejects: c.admissionRejects,
 	}
 }

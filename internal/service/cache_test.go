@@ -46,8 +46,8 @@ func TestTableCacheTinyCapacitySingleflights(t *testing.T) {
 			}
 		}
 		cs := c.counters()
-		if cs.hits != 3 || cs.misses != 1 || cs.entries() != 1 {
-			t.Fatalf("max=%d: hits=%d misses=%d entries=%d, want 3/1/1", max, cs.hits, cs.misses, cs.entries())
+		if cs.CacheHits != 3 || cs.CacheMisses != 1 || cs.CacheEntries != 1 {
+			t.Fatalf("max=%d: hits=%d misses=%d entries=%d, want 3/1/1", max, cs.CacheHits, cs.CacheMisses, cs.CacheEntries)
 		}
 	}
 }
@@ -87,8 +87,8 @@ func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 		}
 		c.publish(e, nil, cost.ResidenceTable{})
 	}
-	if cs := c.counters(); cs.entries() != 1 || cs.evictions != 3 {
-		t.Fatalf("entries=%d evictions=%d, want 1 entry and 3 evictions of older entries", cs.entries(), cs.evictions)
+	if cs := c.counters(); cs.CacheEntries != 1 || cs.CacheEvictions != 3 {
+		t.Fatalf("entries=%d evictions=%d, want 1 entry and 3 evictions of older entries", cs.CacheEntries, cs.CacheEvictions)
 	}
 }
 
@@ -119,14 +119,14 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	buildInto(t, c, fpN(2), 8, 8, 8)
 
 	cs := c.counters()
-	if cs.demotions != 1 || cs.evictions != 0 {
-		t.Fatalf("demotions=%d evictions=%d after overflow, want 1 demotion and 0 evictions", cs.demotions, cs.evictions)
+	if cs.CacheDemotions != 1 || cs.CacheEvictions != 0 {
+		t.Fatalf("demotions=%d evictions=%d after overflow, want 1 demotion and 0 evictions", cs.CacheDemotions, cs.CacheEvictions)
 	}
-	if cs.hotEntries != 1 || cs.coldEntries != 1 {
-		t.Fatalf("hot=%d cold=%d, want 1/1", cs.hotEntries, cs.coldEntries)
+	if cs.CacheHotEntries != 1 || cs.CacheColdEntries != 1 {
+		t.Fatalf("hot=%d cold=%d, want 1/1", cs.CacheHotEntries, cs.CacheColdEntries)
 	}
-	if cs.bytes > 6000 {
-		t.Fatalf("cache bytes %d exceed the 6000-byte budget", cs.bytes)
+	if cs.CacheBytes > 6000 {
+		t.Fatalf("cache bytes %d exceed the 6000-byte budget", cs.CacheBytes)
 	}
 
 	e, role, comp := c.acquire(fpN(1))
@@ -136,7 +136,7 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	if len(comp) == 0 {
 		t.Fatal("promoter received no compressed payload")
 	}
-	gotFP, table, err := cost.DecodeTableAny(comp, 0)
+	gotFP, table, err := cost.DecodeTableV2(comp)
 	if err != nil {
 		t.Fatalf("cold payload does not decode: %v", err)
 	}
@@ -152,18 +152,18 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	c.settle(cacheOutcomePromote)
 
 	cs = c.counters()
-	if cs.promotions != 1 {
-		t.Fatalf("promotions=%d, want 1", cs.promotions)
+	if cs.CachePromotions != 1 {
+		t.Fatalf("promotions=%d, want 1", cs.CachePromotions)
 	}
-	if cs.hits != 1 {
-		t.Fatalf("hits=%d after a settled promotion, want 1", cs.hits)
+	if cs.CacheHits != 1 {
+		t.Fatalf("hits=%d after a settled promotion, want 1", cs.CacheHits)
 	}
 	// Promoting fp1 re-overflowed the budget, so fp2 must now be cold.
-	if cs.demotions != 2 {
-		t.Fatalf("demotions=%d, want 2 (fp2 demoted when fp1 came back)", cs.demotions)
+	if cs.CacheDemotions != 2 {
+		t.Fatalf("demotions=%d, want 2 (fp2 demoted when fp1 came back)", cs.CacheDemotions)
 	}
-	if cs.bytes > 6000 {
-		t.Fatalf("cache bytes %d exceed the budget after promotion", cs.bytes)
+	if cs.CacheBytes > 6000 {
+		t.Fatalf("cache bytes %d exceed the budget after promotion", cs.CacheBytes)
 	}
 }
 
@@ -174,9 +174,9 @@ func TestTableCacheColdTierDisabledEvicts(t *testing.T) {
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	buildInto(t, c, fpN(2), 8, 8, 8)
 	cs := c.counters()
-	if cs.demotions != 0 || cs.evictions != 1 || cs.coldEntries != 0 {
+	if cs.CacheDemotions != 0 || cs.CacheEvictions != 1 || cs.CacheColdEntries != 0 {
 		t.Fatalf("demotions=%d evictions=%d cold=%d with cold tier disabled, want 0/1/0",
-			cs.demotions, cs.evictions, cs.coldEntries)
+			cs.CacheDemotions, cs.CacheEvictions, cs.CacheColdEntries)
 	}
 	if _, role, _ := c.acquire(fpN(1)); role != cacheRoleBuilder {
 		t.Fatalf("evicted fingerprint re-acquired as role %d, want builder", role)
@@ -190,8 +190,8 @@ func TestTableCacheTinyTableEvictsInsteadOfDemoting(t *testing.T) {
 	buildInto(t, c, fpN(1), 1, 1, 2) // 16 flat bytes; v2 payload is 66+ bytes
 	buildInto(t, c, fpN(2), 1, 1, 2)
 	cs := c.counters()
-	if cs.demotions != 0 || cs.evictions != 1 {
-		t.Fatalf("demotions=%d evictions=%d for an incompressible table, want 0/1", cs.demotions, cs.evictions)
+	if cs.CacheDemotions != 0 || cs.CacheEvictions != 1 {
+		t.Fatalf("demotions=%d evictions=%d for an incompressible table, want 0/1", cs.CacheDemotions, cs.CacheEvictions)
 	}
 }
 
@@ -213,8 +213,8 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	// A one-shot scan table arrives; the budget forces a choice.
 	buildInto(t, c, fpN(2), 8, 8, 8)
 	cs := c.counters()
-	if cs.admissionRejects != 1 || cs.evictions != 0 {
-		t.Fatalf("admissionRejects=%d evictions=%d, want the scan rejected and the hot table kept", cs.admissionRejects, cs.evictions)
+	if cs.CacheAdmitRejects != 1 || cs.CacheEvictions != 0 {
+		t.Fatalf("admissionRejects=%d evictions=%d, want the scan rejected and the hot table kept", cs.CacheAdmitRejects, cs.CacheEvictions)
 	}
 	if _, ok := c.items[fpN(1)]; !ok {
 		t.Fatal("hot fingerprint was flushed by a one-shot scan")
@@ -250,7 +250,7 @@ func TestTableCacheByteAccountingConsistent(t *testing.T) {
 	}
 	for _, n := range []byte{3, 7, 11, 2, 12} {
 		if e, role, comp := c.acquire(fpN(n)); role == cacheRolePromoter {
-			_, table, err := cost.DecodeTableAny(comp, 0)
+			_, table, err := cost.DecodeTableV2(comp)
 			if err != nil {
 				t.Fatalf("fingerprint %d: cold payload corrupt: %v", n, err)
 			}

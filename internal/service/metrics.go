@@ -42,27 +42,27 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	reg.GaugeFunc("pim_retry_after_seconds", "Backoff currently advertised on load-shed responses.",
 		func() float64 { return float64(s.retryAfterSeconds()) })
 
-	cacheCounter := func(pick func(cacheStats) uint64) func() uint64 {
+	cacheCounter := func(pick func(Stats) uint64) func() uint64 {
 		return func() uint64 { return pick(s.cache.counters()) }
 	}
 	reg.CounterFunc("pim_cache_hits_total", "Residence-table cache hits (flat hot-tier hits and cold-tier promotions).",
-		cacheCounter(func(cs cacheStats) uint64 { return cs.hits }))
+		cacheCounter(func(st Stats) uint64 { return st.CacheHits }))
 	reg.CounterFunc("pim_cache_misses_total", "Residence-table cache misses.",
-		cacheCounter(func(cs cacheStats) uint64 { return cs.misses }))
+		cacheCounter(func(st Stats) uint64 { return st.CacheMisses }))
 	reg.CounterFunc("pim_cache_shared_builds_total", "Concurrent misses that piggybacked on an in-flight build.",
-		cacheCounter(func(cs cacheStats) uint64 { return cs.sharedBuilds }))
+		cacheCounter(func(st Stats) uint64 { return st.CacheSharedBuild }))
 	reg.CounterFunc("pim_cache_evictions_total", "Residence-table cache evictions.",
-		cacheCounter(func(cs cacheStats) uint64 { return cs.evictions }))
+		cacheCounter(func(st Stats) uint64 { return st.CacheEvictions }))
 	reg.CounterFunc("pim_cache_demotions_total", "Hot tables compressed into the cold tier under byte pressure.",
-		cacheCounter(func(cs cacheStats) uint64 { return cs.demotions }))
+		cacheCounter(func(st Stats) uint64 { return st.CacheDemotions }))
 	reg.CounterFunc("pim_cache_promotions_total", "Cold tables decoded back to the hot tier on demand.",
-		cacheCounter(func(cs cacheStats) uint64 { return cs.promotions }))
+		cacheCounter(func(st Stats) uint64 { return st.CachePromotions }))
 	reg.CounterFunc("pim_cache_admission_rejects_total", "Newly cached tables dropped because the eviction victim was hotter.",
-		cacheCounter(func(cs cacheStats) uint64 { return cs.admissionRejects }))
+		cacheCounter(func(st Stats) uint64 { return st.CacheAdmitRejects }))
 	reg.GaugeFunc("pim_cache_entries", "Residence-table cache entries resident across both tiers.",
-		func() float64 { return float64(s.cache.counters().entries()) })
+		func() float64 { return float64(s.cache.counters().CacheEntries) })
 	reg.GaugeFunc("pim_cache_bytes", "Bytes of cached residence tables (flat hot cells plus compressed cold payloads).",
-		func() float64 { return float64(s.cache.counters().bytes) })
+		func() float64 { return float64(s.cache.counters().CacheBytes) })
 
 	reg.CounterFunc("pim_batches_total", "Batch schedule requests completed.", s.batches.Load)
 	reg.CounterFunc("pim_batch_specs_total", "Request specs completed inside batches.", s.batchSpecs.Load)

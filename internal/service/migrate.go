@@ -14,12 +14,10 @@ import (
 // that ImportSession on another shard resumes it bit-identically: the
 // materialized current trace (pimtrace v1 text), the head of the
 // chained fingerprint sequence, the applied-delta count, and the
-// session's patched residence table in the compressed pimtab-v2 binary
-// codec (base64 under encoding/json; importers accept v1 payloads too,
-// so exports from pre-v2 shards still resume here). The table is the
-// expensive part — it carries every delta's incremental patch, so the
-// importer re-solves from it instead of rebuilding windows x data x
-// processors cells.
+// session's patched residence table in the pimtab-v2 binary codec
+// (base64 under encoding/json). The table is the expensive part — it
+// carries every delta's incremental patch, so the importer re-solves
+// from it instead of rebuilding windows x data x processors cells.
 type SessionExport struct {
 	SessionID   string `json:"session_id"`
 	Algorithm   string `json:"algorithm"`
@@ -91,7 +89,7 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	// guard enforces: the trace cross-check alone runs only after this
 	// decode, so without the budget a crafted payload header could
 	// commit the shard to an allocation its own guards would refuse.
-	tableFP, table, err := cost.DecodeTableAny(exp.Table, s.cfg.maxTableCells())
+	tableFP, table, err := cost.DecodeTableV2Limit(exp.Table, s.cfg.maxTableCells())
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}

@@ -52,8 +52,8 @@ const (
 	DefaultMaxBodyBytes = 32 << 20
 
 	// DefaultMaxTableCells matches the codec's 1 GiB payload ceiling
-	// (cost.DecodeTable), so any table a shard will build is also one a
-	// peer can ship.
+	// (cost.MaxTableCodecCells), so any table a shard will build is also
+	// one a peer can ship.
 	DefaultMaxTableCells = 128 << 20
 
 	// DefaultTableBytes is the per-table allowance used to derive the
@@ -462,33 +462,27 @@ func (s *Service) Close() error {
 // Stats returns a consistent-enough snapshot of the counters (each
 // counter is individually atomic; the set is not taken under one lock).
 func (s *Service) Stats() Stats {
-	st := Stats{
-		Requests:         s.requests.Load(),
-		Completed:        s.completed.Load(),
-		RejectedOverload: s.rejectedOverload.Load(),
-		RejectedClosed:   s.rejectedClosed.Load(),
-		BadRequests:      s.badRequests.Load(),
-		DeadlineExpired:  s.deadlineExpired.Load(),
-		Errors:           s.internalErrors.Load(),
-		Inflight:         s.inflight.Load(),
-		TablesBuilt:      s.tablesBuilt.Load(),
-		SessionsCreated:  s.sessionsCreated.Load(),
-		SessionsActive:   s.sessionCount(),
-		DeltasApplied:    s.deltasApplied.Load(),
-		Batches:          s.batches.Load(),
-		BatchSpecs:       s.batchSpecs.Load(),
-		PeerFills:        s.peerFills.Load(),
-		PeerFillFallback: s.peerFillFallback.Load(),
-		TablesServed:     s.tablesServed.Load(),
-		TablesPrefilled:  s.tablesPrefilled.Load(),
-		SessionsExported: s.sessionsExported.Load(),
-		SessionsImported: s.sessionsImported.Load(),
-	}
-	cs := s.cache.counters()
-	st.CacheHits, st.CacheMisses, st.CacheSharedBuild = cs.hits, cs.misses, cs.sharedBuilds
-	st.CacheEvictions, st.CacheEntries = cs.evictions, cs.entries()
-	st.CacheHotEntries, st.CacheColdEntries, st.CacheBytes = cs.hotEntries, cs.coldEntries, cs.bytes
-	st.CacheDemotions, st.CachePromotions, st.CacheAdmitRejects = cs.demotions, cs.promotions, cs.admissionRejects
+	st := s.cache.counters()
+	st.Requests = s.requests.Load()
+	st.Completed = s.completed.Load()
+	st.RejectedOverload = s.rejectedOverload.Load()
+	st.RejectedClosed = s.rejectedClosed.Load()
+	st.BadRequests = s.badRequests.Load()
+	st.DeadlineExpired = s.deadlineExpired.Load()
+	st.Errors = s.internalErrors.Load()
+	st.Inflight = s.inflight.Load()
+	st.TablesBuilt = s.tablesBuilt.Load()
+	st.SessionsCreated = s.sessionsCreated.Load()
+	st.SessionsActive = s.sessionCount()
+	st.DeltasApplied = s.deltasApplied.Load()
+	st.Batches = s.batches.Load()
+	st.BatchSpecs = s.batchSpecs.Load()
+	st.PeerFills = s.peerFills.Load()
+	st.PeerFillFallback = s.peerFillFallback.Load()
+	st.TablesServed = s.tablesServed.Load()
+	st.TablesPrefilled = s.tablesPrefilled.Load()
+	st.SessionsExported = s.sessionsExported.Load()
+	st.SessionsImported = s.sessionsImported.Load()
 	return st
 }
 
@@ -770,7 +764,7 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 // request's trace — the same paranoia peer fill applies, because a
 // promoted table feeds schedules exactly like an adopted one.
 func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, tr *trace.Trace) (cost.ResidenceTable, error) {
-	gotFP, table, err := cost.DecodeTableAny(comp, s.cfg.maxTableCells())
+	gotFP, table, err := cost.DecodeTableV2Limit(comp, s.cfg.maxTableCells())
 	if err != nil {
 		return cost.ResidenceTable{}, err
 	}

@@ -54,7 +54,7 @@ func BenchmarkScheduleColdHit(b *testing.B) {
 	}
 	b.StopTimer()
 	cs := svc.cache.counters()
-	if b.N > 4 && cs.promotions < uint64(b.N)/2 {
-		b.Fatalf("only %d promotions over %d schedules: the benchmark is not measuring cold hits", cs.promotions, b.N)
+	if b.N > 4 && cs.CachePromotions < uint64(b.N)/2 {
+		b.Fatalf("only %d promotions over %d schedules: the benchmark is not measuring cold hits", cs.CachePromotions, b.N)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -120,7 +121,7 @@ func TestCacheTierRaceStress(t *testing.T) {
 			if !ok {
 				return cost.ResidenceTable{}, errors.New("no canned table")
 			}
-			_, table, err := cost.DecodeTableAny(payload, 0)
+			_, table, err := cost.DecodeTableV2(payload)
 			return table, err
 		},
 	})
@@ -175,9 +176,9 @@ func TestCacheTierRaceStress(t *testing.T) {
 		total += uint64(n)
 	}
 	cs := svc.cache.counters()
-	if got := cs.hits + cs.misses + cs.sharedBuilds; got != total {
+	if got := cs.CacheHits + cs.CacheMisses + cs.CacheSharedBuild; got != total {
 		t.Fatalf("counters settle to %d (hits %d + misses %d + shared %d), want %d completed schedules",
-			got, cs.hits, cs.misses, cs.sharedBuilds, total)
+			got, cs.CacheHits, cs.CacheMisses, cs.CacheSharedBuild, total)
 	}
 	svc.cache.mu.Lock()
 	var sum int64
@@ -214,7 +215,7 @@ func TestImportRejectsOversizedTablePayload(t *testing.T) {
 	fp := tr.Fingerprint()
 	// The table payload declares a shape far over the budget; its byte
 	// size is modest, so only the cell guard can catch it.
-	big := cost.EncodeTable(fp, cost.NewResidenceTable(100, 100, 10))
+	big := cost.EncodeTableV2(fp, cost.NewResidenceTable(100, 100, 10))
 	_, err = svc.ImportSession(SessionExport{
 		SessionID:   "evil-1",
 		Algorithm:   "scds",
@@ -236,9 +237,10 @@ func TestImportRejectsOversizedTablePayload(t *testing.T) {
 	}
 }
 
-// A migration round trip through the new v2 export format must resume
-// bit-identically, and a legacy v1-encoded export must stay importable.
-func TestImportAcceptsBothCodecVersions(t *testing.T) {
+// TestImportSessionCodecV2: a migration round trip through the
+// pimtab-v2 export resumes, and an export whose table carries an older
+// codec version's magic is refused as a bad request.
+func TestImportSessionCodecV2(t *testing.T) {
 	src := New(Config{})
 	defer src.Close()
 	info, err := src.CreateSession(CreateSessionRequest{
@@ -255,24 +257,16 @@ func TestImportAcceptsBothCodecVersions(t *testing.T) {
 		t.Fatalf("export table payload is not pimtab-v2 (leads with %q)", string(exp.Table[:10]))
 	}
 
-	// v2 import.
-	dst2 := New(Config{})
-	defer dst2.Close()
-	if _, err := dst2.ImportSession(*exp); err != nil {
-		t.Fatalf("v2 import: %v", err)
-	}
-
-	// The same export transcoded to v1 (what a pre-v2 shard would have
-	// sent) must import equally well.
-	fp, table, err := cost.DecodeTableAny(exp.Table, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := New(Config{})
+	defer dst.Close()
 	legacy := *exp
-	legacy.Table = cost.EncodeTable(fp, table)
-	dst1 := New(Config{})
-	defer dst1.Close()
-	if _, err := dst1.ImportSession(legacy); err != nil {
-		t.Fatalf("v1 import: %v", err)
+	legacy.Table = bytes.Clone(exp.Table)
+	legacy.Table[len("pimtab-v")]-- // one codec version back
+	_, err = dst.ImportSession(legacy)
+	if !isRequestError(err) || !strings.Contains(err.Error(), "wrong magic") {
+		t.Fatalf("older-version import returned %v, want a RequestError naming the wrong magic", err)
+	}
+	if _, err := dst.ImportSession(*exp); err != nil {
+		t.Fatalf("v2 import: %v", err)
 	}
 }

@@ -67,7 +67,7 @@ go test -run '^TestScheduleSteadyStateAllocsBounded$' -v ./internal/service
 # invocations.
 echo "== two-tier cache gates (-race) =="
 go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestImportRejectsOversizedTablePayload)$' ./internal/service
-go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillRejectsOversizedPeerTable|TestPeerFillNegotiatesV2)$' ./internal/cluster
+go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillRejectsOversizedPeerTable|TestTableGetServesV2)$' ./internal/cluster
 
 # Session-lifecycle race gates: an in-flight op racing DELETE
 # /session/{id} must end in a clean 404 with the sessions gauge and the
@@ -265,7 +265,6 @@ if [ "$FUZZTIME" != "0" ]; then
 	go test -race -run '^$' -fuzz '^FuzzDeltaApply$' -fuzztime "$FUZZTIME" ./internal/verify
 	go test -race -run '^$' -fuzz '^FuzzFingerprint$' -fuzztime "$FUZZTIME" ./internal/trace
 	go test -race -run '^$' -fuzz '^FuzzBatchDecode$' -fuzztime "$FUZZTIME" ./internal/service
-	go test -race -run '^$' -fuzz '^FuzzTableCodec$' -fuzztime "$FUZZTIME" ./internal/cost
 	go test -race -run '^$' -fuzz '^FuzzTableCodecV2$' -fuzztime "$FUZZTIME" ./internal/cost
 fi
 
