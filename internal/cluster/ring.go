@@ -39,10 +39,7 @@ type ringPoint struct {
 
 // NewRing returns an empty ring; replicas <= 0 means DefaultReplicas.
 func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, members: make(map[string]struct{})}
+	return &Ring{replicas: orDefault(replicas, DefaultReplicas), members: make(map[string]struct{})}
 }
 
 // ringHash maps a byte string onto the ring's key space. SHA-256

@@ -51,6 +51,11 @@ const replicaFillTimeout = 10 * time.Second
 // be cut off by something, and this is it.
 const coalesceLeaderTimeout = 5 * time.Minute
 
+// maxFillMemo caps the replica-fill memo (fillFilled). A full memo is
+// cleared, not evicted entry by entry: a repeat fill is a cheap no-op
+// at a replica that still holds the table.
+const maxFillMemo = 4096
+
 // RouterConfig tunes a Router.
 type RouterConfig struct {
 	// Backends are the base URLs of the pimserve fleet (e.g.
@@ -166,9 +171,11 @@ type coalesceCall struct {
 	res  forwardResult // written by the leader before done is closed
 }
 
-// NewRouter builds a router over the configured fleet and, unless
-// disabled, starts its health loop. Close releases it.
+// NewRouter builds a router over the configured fleet, its unset fields
+// resolved to their defaults, and, unless disabled, starts its health
+// loop. Close releases it.
 func NewRouter(cfg RouterConfig) *Router {
+	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:          cfg,
 		ring:         NewRing(cfg.Replicas),
@@ -248,44 +255,30 @@ func (rt *Router) Close() {
 // Ring exposes the live membership view, mainly for tests and /stats.
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-func (rt *Router) healthInterval() time.Duration {
-	if rt.cfg.HealthInterval == 0 {
-		return DefaultHealthInterval
+// withDefaults resolves every "<= 0 means default" field once. A
+// negative HealthInterval stays negative: it disables the health loop.
+func (c RouterConfig) withDefaults() RouterConfig {
+	if c.HealthInterval == 0 {
+		c.HealthInterval = DefaultHealthInterval
 	}
-	return rt.cfg.HealthInterval
+	c.HealthTimeout = orDefault(c.HealthTimeout, DefaultHealthTimeout)
+	c.MaxBodyBytes = orDefault(c.MaxBodyBytes, DefaultRouterMaxBody)
+	c.Replication = orDefault(c.Replication, DefaultReplication)
+	c.ReadmitAfter = orDefault(c.ReadmitAfter, DefaultReadmitAfter)
+	return c
 }
 
-func (rt *Router) healthTimeout() time.Duration {
-	if rt.cfg.HealthTimeout <= 0 {
-		return DefaultHealthTimeout
+// orDefault is v, or def when v is zero or negative.
+func orDefault[T int | int64 | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
 	}
-	return rt.cfg.HealthTimeout
-}
-
-func (rt *Router) maxBodyBytes() int64 {
-	if rt.cfg.MaxBodyBytes <= 0 {
-		return DefaultRouterMaxBody
-	}
-	return rt.cfg.MaxBodyBytes
-}
-
-func (rt *Router) replication() int {
-	if rt.cfg.Replication <= 0 {
-		return DefaultReplication
-	}
-	return rt.cfg.Replication
-}
-
-func (rt *Router) readmitAfter() int {
-	if rt.cfg.ReadmitAfter <= 0 {
-		return DefaultReadmitAfter
-	}
-	return rt.cfg.ReadmitAfter
+	return v
 }
 
 func (rt *Router) healthLoop() {
 	defer close(rt.loopDone)
-	t := time.NewTicker(rt.healthInterval())
+	t := time.NewTicker(rt.cfg.HealthInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -298,7 +291,7 @@ func (rt *Router) healthLoop() {
 }
 
 // CheckHealth probes every configured backend's /healthz once, ejecting
-// failures from the ring and readmitting recoveries after readmitAfter
+// failures from the ring and readmitting recoveries after ReadmitAfter
 // consecutive passing probes (a single good probe from a flapping
 // backend must not remap its keys). Drained backends are skipped
 // entirely: an operator took them out, only an undrain lets them back.
@@ -313,7 +306,7 @@ func (rt *Router) CheckHealth() {
 		case healthy && !rt.ring.Has(backend):
 			rt.healthMu.Lock()
 			rt.streak[backend]++
-			readmit := rt.streak[backend] >= rt.readmitAfter()
+			readmit := rt.streak[backend] >= rt.cfg.ReadmitAfter
 			if readmit {
 				delete(rt.streak, backend)
 			}
@@ -374,7 +367,7 @@ func (rt *Router) probe(backend string) bool {
 	// The probe deadline rides on the request, not a context, so one
 	// hung backend cannot stall the whole sweep past its own budget.
 	c := *rt.client
-	c.Timeout = rt.healthTimeout()
+	c.Timeout = rt.cfg.HealthTimeout
 	resp, err := c.Do(req)
 	if err != nil {
 		return false
@@ -600,7 +593,7 @@ func (rt *Router) unpinSession(id string) {
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBodyBytes()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -635,12 +628,7 @@ type forwardResult struct {
 func (rt *Router) forwardByKey(ctx context.Context, r *http.Request, key, body []byte) forwardResult {
 	backend, ok := rt.ring.Owner(key)
 	if !ok {
-		rt.noBackend.Inc()
-		return forwardResult{
-			errStatus:  http.StatusServiceUnavailable,
-			errMsg:     "cluster: no healthy backends",
-			retryAfter: strconv.Itoa(int(rt.healthInterval().Seconds()) + 1),
-		}
+		return rt.unavailable("cluster: no healthy backends", false)
 	}
 	res := rt.sendResult(ctx, r.Method, backend, r.URL.Path, r.URL.RawQuery,
 		r.Header.Get("Content-Type"), body, rt.peerHintFor(key, backend))
@@ -662,12 +650,20 @@ func (rt *Router) forwardByKey(ctx context.Context, r *http.Request, key, body [
 		}
 		res = res2
 	}
+	return rt.unavailable("cluster: backend unreachable: "+res.errMsg, true)
+}
+
+// unavailable counts a request no ring member could serve and builds
+// its 503. Retry-After is about one health interval, when a sweep may
+// have readmitted a backend, floored at 1 (a disabled loop's interval
+// is negative).
+func (rt *Router) unavailable(msg string, connErr bool) forwardResult {
 	rt.noBackend.Inc()
 	return forwardResult{
 		errStatus:  http.StatusServiceUnavailable,
-		errMsg:     "cluster: backend unreachable: " + res.errMsg,
-		retryAfter: strconv.Itoa(int(rt.healthInterval().Seconds()) + 1),
-		connErr:    true,
+		errMsg:     msg,
+		retryAfter: strconv.Itoa(max(int(rt.cfg.HealthInterval.Seconds())+1, 1)),
+		connErr:    connErr,
 	}
 }
 
@@ -690,17 +686,17 @@ func (rt *Router) peerHintFor(key []byte, owner string) string {
 // /table/prefill tells it to adopt the table from the shard that just
 // served the request, over the same GET /table/{fingerprint} fetch
 // peer fill uses (pimtab-v2).
-// Fills are deduplicated per (backend, fingerprint), forgotten when the
-// backend is ejected (a crash-restarted process lost its cache), and
-// never touch the request counters — they are the router's own
-// background traffic, not routed load. Called before the response is
+// Fills are deduplicated per (backend, fingerprint) in a memo capped at
+// maxFillMemo, forgotten when the backend is ejected (a crash-restarted
+// process lost its cache), and never touch the request counters — they
+// are the router's own background traffic, not routed load. Called before the response is
 // relayed, so once a client has its answer the fill is at least in
 // flight (WaitReplicaFills then makes tests deterministic).
 func (rt *Router) maybeFillReplicas(info routeInfo, source string) {
-	if !rt.cfg.PeerFill || rt.replication() < 2 || source == "" {
+	if !rt.cfg.PeerFill || rt.cfg.Replication < 2 || source == "" {
 		return
 	}
-	owners := rt.ring.Owners(info.key, rt.replication())
+	owners := rt.ring.Owners(info.key, rt.cfg.Replication)
 	fp := fmt.Sprintf("%x", info.key)
 	for _, o := range owners {
 		if o == source {
@@ -725,6 +721,9 @@ func (rt *Router) fillReplica(k, replica, source, traceText string) {
 	rt.fillMu.Lock()
 	delete(rt.fillInflight, k)
 	if err == nil {
+		if len(rt.fillFilled) >= maxFillMemo {
+			clear(rt.fillFilled)
+		}
 		rt.fillFilled[k] = struct{}{}
 	}
 	rt.fillCond.Broadcast()
@@ -1070,7 +1069,7 @@ func (rt *Router) Stats() RouterStats {
 		Backends:            slices.Clone(rt.backends),
 		Healthy:             rt.ring.Members(),
 		Drained:             drained,
-		Replication:         rt.replication(),
+		Replication:         rt.cfg.Replication,
 		Requests:            rt.requests.Value(),
 		BadRequests:         rt.badRequests.Value(),
 		Retries:             rt.retries.Value(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -119,23 +120,80 @@ func TestRouterPinsTraceToOneShard(t *testing.T) {
 	}
 }
 
+// An empty ring answers 503 with a Retry-After of about one health
+// interval, still a positive integer when a negative interval disables
+// the health loop.
 func TestRouterEmptyRing503(t *testing.T) {
-	rt, ts := newTestRouter(t, RouterConfig{Backends: nil})
-	req := service.Request{Trace: clusterTrace(t, 0), Algorithm: "scds"}
-	body, _ := json.Marshal(req)
-	resp, err := ts.Client().Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		interval time.Duration
+		want     string
+	}{
+		{-1, "1"},
+		{-time.Second, "1"},
+		{-5 * time.Second, "1"},
+		{2 * time.Second, "3"},
+	} {
+		rt, ts := newTestRouter(t, RouterConfig{Backends: nil, HealthInterval: tc.interval})
+		req := service.Request{Trace: clusterTrace(t, 0), Algorithm: "scds"}
+		body, _ := json.Marshal(req)
+		resp, err := ts.Client().Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("interval %v: status %d on empty ring, want 503", tc.interval, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != tc.want {
+			t.Fatalf("interval %v: 503 on empty ring has Retry-After %q, want %q", tc.interval, got, tc.want)
+		}
+		if st := rt.Stats(); st.NoBackend != 1 {
+			t.Fatalf("interval %v: no_backend = %d, want 1", tc.interval, st.NoBackend)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d on empty ring, want 503", resp.StatusCode)
+}
+
+// The replica-fill memo stays bounded over any number of distinct
+// traces: it is cleared when full, and fills keep running after that.
+func TestRouterFillMemoBounded(t *testing.T) {
+	var prefills atomic.Uint64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/table/prefill" {
+			prefills.Add(1)
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer replica.Close()
+	rt, _ := newTestRouter(t, RouterConfig{
+		Backends:    []string{replica.URL},
+		PeerFill:    true,
+		Replication: 2,
+	})
+
+	const keys = maxFillMemo + 100
+	peak := 0
+	for i := 0; i < keys; i++ {
+		// The source is not a ring member, so the one backend is always
+		// a replica to fill.
+		rt.maybeFillReplicas(routeInfo{key: []byte(fmt.Sprintf("key-%d", i)), trace: "t"}, "http://source")
+		if i%64 == 63 || i == keys-1 {
+			rt.WaitReplicaFills()
+			rt.fillMu.Lock()
+			peak = max(peak, len(rt.fillFilled))
+			rt.fillMu.Unlock()
+		}
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 on empty ring lacks Retry-After")
+	if got := prefills.Load(); got != keys {
+		t.Fatalf("replica saw %d prefills, want %d (one per distinct key)", got, keys)
 	}
-	if st := rt.Stats(); st.NoBackend != 1 {
-		t.Fatalf("no_backend = %d, want 1", st.NoBackend)
+	if peak > maxFillMemo {
+		t.Fatalf("fill memo reached %d entries, cap %d", peak, maxFillMemo)
+	}
+	rt.fillMu.Lock()
+	n := len(rt.fillFilled)
+	rt.fillMu.Unlock()
+	if n == 0 || n > maxFillMemo {
+		t.Fatalf("fill memo holds %d entries after %d keys, want 1..%d", n, keys, maxFillMemo)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package obs is the repository's stdlib-only observability layer:
-// atomic counters, gauges and fixed-bucket latency histograms collected
-// in a Registry that renders the Prometheus text exposition format;
-// lightweight stage spans (Span) for timing pipeline phases; a
-// structured slog access log for HTTP servers; and a debug handler
-// bundling net/http/pprof with expvar.
+// atomic counters, scrape-time gauges (GaugeFunc) and fixed-bucket
+// latency histograms collected in a Registry that renders the
+// Prometheus text exposition format; lightweight stage spans (Span) for
+// timing pipeline phases; a structured slog access log for HTTP
+// servers; and a debug handler bundling net/http/pprof with expvar.
 //
 // Everything is safe for concurrent use: writers touch only atomics,
 // and a scrape taken mid-update always parses and never shows a
@@ -36,26 +36,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a float64 that can move in either direction.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add moves the value by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 var (
 	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
@@ -86,7 +66,6 @@ type series struct {
 	labels    []labelPair
 	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -150,13 +129,6 @@ func (r *Registry) LabeledCounterFunc(name, help, label, value string, fn func()
 		labels:    []labelPair{{label, value}},
 		counterFn: fn,
 	})
-}
-
-// Gauge registers and returns a new unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.family(name, help, "gauge").add(&series{gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
@@ -246,8 +218,6 @@ func (s *series) render(b *strings.Builder, name string) {
 		fmt.Fprintf(b, "%s%s %d\n", name, renderLabels(s.labels), s.counter.Value())
 	case s.counterFn != nil:
 		fmt.Fprintf(b, "%s%s %d\n", name, renderLabels(s.labels), s.counterFn())
-	case s.gauge != nil:
-		fmt.Fprintf(b, "%s%s %s\n", name, renderLabels(s.labels), formatFloat(s.gauge.Value()))
 	case s.gaugeFn != nil:
 		fmt.Fprintf(b, "%s%s %s\n", name, renderLabels(s.labels), formatFloat(s.gaugeFn()))
 	case s.hist != nil:

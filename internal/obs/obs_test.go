@@ -17,11 +17,20 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Value() != 42 {
 		t.Fatalf("counter = %d, want 42", c.Value())
 	}
-	var g Gauge
-	g.Set(1.5)
-	g.Add(-0.25)
-	if g.Value() != 1.25 {
-		t.Fatalf("gauge = %v, want 1.25", g.Value())
+	// A GaugeFunc is read at scrape time, so it follows its source in
+	// either direction.
+	r := NewRegistry()
+	v := 1.5
+	r.GaugeFunc("test_level", "Level.", func() float64 { return v })
+	for _, want := range []float64{1.5, 1.25, -2} {
+		v = want
+		var buf bytes.Buffer
+		if err := r.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if line := "test_level " + formatFloat(want) + "\n"; !strings.HasSuffix(buf.String(), line) {
+			t.Fatalf("scrape = %q, want it to end in %q", buf.String(), line)
+		}
 	}
 }
 
@@ -89,8 +98,7 @@ func TestRegistryExpositionGolden(t *testing.T) {
 	r.CounterFunc("test_events_total", "Events observed.", func() uint64 { return 7 })
 	r.LabeledCounterFunc("test_rejected_total", "Rejected requests.", "reason", "overload", func() uint64 { return 2 })
 	r.LabeledCounterFunc("test_rejected_total", "Rejected requests.", "reason", "closed", func() uint64 { return 1 })
-	g := r.Gauge("test_queue_depth", "Queue depth.")
-	g.Set(1.5)
+	r.GaugeFunc("test_queue_depth", "Queue depth.", func() float64 { return 1.5 })
 	r.GaugeFunc("test_inflight", "In-flight requests.", func() float64 { return 4 })
 	h := r.Histogram("test_latency_seconds", "Request latency.", []float64{0.25, 1})
 	h.Observe(0.25)
@@ -141,7 +149,7 @@ test_stage_seconds_count{stage="decode"} 1
 func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 	cases := map[string]func(r *Registry){
 		"bad name":       func(r *Registry) { r.Counter("1bad", "h") },
-		"type conflict":  func(r *Registry) { r.Counter("m", "h"); r.Gauge("m", "h") },
+		"type conflict":  func(r *Registry) { r.Counter("m", "h"); r.GaugeFunc("m", "h", func() float64 { return 0 }) },
 		"dup series":     func(r *Registry) { r.Counter("m", "h"); r.Counter("m", "h") },
 		"reserved label": func(r *Registry) { r.HistogramVec("m", "h", "le", []float64{1}) },
 	}
@@ -193,7 +201,6 @@ func TestRegistryHandler(t *testing.T) {
 func TestConcurrentIncrements(t *testing.T) {
 	const workers, each = 16, 1000
 	var c Counter
-	var g Gauge
 	h := NewHistogram([]float64{1, 2})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -202,7 +209,6 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(1.5)
 			}
 		}()
@@ -210,9 +216,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*each {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*each)
-	}
-	if g.Value() != workers*each {
-		t.Fatalf("gauge = %v, want %d", g.Value(), workers*each)
 	}
 	cumulative, sum := h.Snapshot()
 	if h.Count() != workers*each || cumulative[0] != 0 || cumulative[1] != workers*each {

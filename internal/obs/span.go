@@ -77,8 +77,10 @@ func Tee(sinks ...Stages) Stages {
 
 type stagesKey struct{}
 
-// WithStages returns a context carrying the sink, for APIs (like
-// sched.RunContext) that take a context but no explicit sink.
+// WithStages returns a context carrying the sink, for APIs that take a
+// context but no explicit sink: the service's schedule pipeline tees
+// it with its own histograms, so an embedding caller (perfbench's span
+// split) sees each of its requests' stages.
 func WithStages(ctx context.Context, s Stages) context.Context {
 	if s == nil {
 		return ctx

@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/costgraph"
@@ -71,71 +69,4 @@ func TestGOMCDSCapacityAllocsBounded(t *testing.T) {
 	if limit := float64(nd * nw); allocs >= limit {
 		t.Fatalf("GOMCDS capacity run allocated %.0f times, want < %.0f (per-item scratch is back)", allocs, limit)
 	}
-}
-
-// TestGOMCDSPreCancelledContext checks the cancellation point: a
-// context that is already cancelled must abort both GOMCDS branches
-// promptly with the context's error and no partial schedule.
-func TestGOMCDSPreCancelledContext(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, capacity := range []int{0, 8} {
-		p := randomKernelProblem(rng, grid.Square(4), 16, 4, 64, capacity)
-		s, err := GOMCDS{}.ScheduleContext(ctx, p)
-		if err != context.Canceled {
-			t.Fatalf("capacity=%d: err = %v, want context.Canceled", capacity, err)
-		}
-		if s.Centers != nil {
-			t.Fatalf("capacity=%d: got partial schedule %v on cancellation", capacity, s.Centers)
-		}
-	}
-}
-
-// countingCtx reports Canceled from Err after a fixed number of calls,
-// making the "checks between items" property deterministic: the
-// capacity-tracked loop consults Err once per item, so a large instance
-// must stop early rather than run all D items.
-type countingCtx struct {
-	context.Context
-	calls       atomic.Int64
-	cancelAfter int64
-}
-
-func (c *countingCtx) Err() error {
-	if c.calls.Add(1) > c.cancelAfter {
-		return context.Canceled
-	}
-	return nil
-}
-
-func TestGOMCDSCancelsBetweenItems(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	const nd = 64
-	p := randomKernelProblem(rng, grid.Square(4), nd, 4, 64, 2*((nd+15)/16))
-	ctx := &countingCtx{Context: context.Background(), cancelAfter: 3}
-	if _, err := (GOMCDS{}).ScheduleContext(ctx, p); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled after mid-run cancellation", err)
-	}
-	if calls := ctx.calls.Load(); calls > 10 {
-		t.Fatalf("loop consulted ctx.Err %d times after cancellation, expected an early abort", calls)
-	}
-}
-
-// TestRunContextRoutesContextScheduler verifies the RunContext plumbing
-// hands the live context to ContextScheduler implementations: a
-// pre-cancelled context must yield the context error with the done
-// callback fired promptly (the background run aborts instead of
-// completing the full schedule).
-func TestRunContextRoutesContextScheduler(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	p := randomKernelProblem(rng, grid.Square(4), 32, 8, 128, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	done := make(chan struct{})
-	_, err := RunContextDone(ctx, GOMCDS{}, p, func() { close(done) })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	<-done // fires immediately: pre-expiry short-circuits before the run
 }

@@ -17,7 +17,6 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -75,16 +74,6 @@ type Scheduler interface {
 	// Schedule computes the placement. It returns an error when the
 	// instance is infeasible (total memory smaller than the data set).
 	Schedule(p *Problem) (cost.Schedule, error)
-}
-
-// ContextScheduler is a Scheduler with internal cancellation points:
-// ScheduleContext observes the context between units of work and
-// returns the context's error promptly once it expires, instead of
-// running the full schedule to completion in the background.
-// RunContext routes through it when available.
-type ContextScheduler interface {
-	Scheduler
-	ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule, error)
 }
 
 // processorList returns the processor indices sorted by ascending cost
@@ -244,11 +233,6 @@ type GOMCDS struct {
 // Name implements Scheduler.
 func (GOMCDS) Name() string { return "GOMCDS" }
 
-// Schedule implements Scheduler.
-func (g GOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
-	return g.ScheduleContext(context.Background(), p)
-}
-
 // dpStage names the DP span recorded on the model's stage sink.
 func (g GOMCDS) dpStage() string {
 	if g.Kernel == costgraph.KernelNaive {
@@ -257,13 +241,8 @@ func (g GOMCDS) dpStage() string {
 	return "sched.dp.sweep"
 }
 
-// ScheduleContext implements ContextScheduler: it is Schedule with a
-// cancellation point between units of work (data items under a
-// capacity, item blocks on the batched unbounded path), so deadlines
-// and cancellation abort long runs mid-schedule instead of after the
-// full D-item loop. A partial schedule is never returned; on
-// cancellation the result is the zero Schedule and the context's error.
-func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule, error) {
+// Schedule implements Scheduler.
+func (g GOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	if err := p.feasible(); err != nil {
 		return cost.Schedule{}, err
 	}
@@ -285,15 +264,9 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 		// layer pass touches one contiguous run of table cells. With the
 		// naive kernel (a diagnostics knob) items are solved one at a
 		// time as before. Either way solvers come from the
-		// process-lifetime pool and survive across requests; cancellation
-		// is checked per item (naive) or per block (sweep) — work already
-		// in flight finishes its current unit, later units are skipped
-		// and the error returned.
+		// process-lifetime pool and survive across requests.
 		if g.Kernel == costgraph.KernelNaive {
 			parallel.ForEach(nd, func(d int) {
-				if ctx.Err() != nil {
-					return
-				}
 				solver := costgraph.GetSolver(p.Model.Grid.Width(), p.Model.Grid.Height())
 				path := g.bestPath(p, d, nil, solver)
 				for w := 0; w < nw; w++ {
@@ -308,9 +281,6 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 				blocks = nd
 			}
 			parallel.ForEach(blocks, func(b int) {
-				if ctx.Err() != nil {
-					return
-				}
 				lo, hi := b*nd/blocks, (b+1)*nd/blocks
 				solver := costgraph.GetSolver(p.Model.Grid.Width(), p.Model.Grid.Height())
 				sizes := solver.BatchSizes(hi - lo)
@@ -332,9 +302,6 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 				costgraph.PutSolver(solver)
 			})
 		}
-		if err := ctx.Err(); err != nil {
-			return cost.Schedule{}, err
-		}
 		return cost.Schedule{Centers: centers}, nil
 	}
 
@@ -345,9 +312,6 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 	solver := costgraph.GetSolver(p.Model.Grid.Width(), p.Model.Grid.Height())
 	defer costgraph.PutSolver(solver)
 	for d := 0; d < nd; d++ {
-		if err := ctx.Err(); err != nil {
-			return cost.Schedule{}, err
-		}
 		path := g.bestPath(p, d, trackers, solver)
 		for w := 0; w < nw; w++ {
 			if !trackers[w].TryPlace(path[w]) {

@@ -93,8 +93,8 @@ func (s *Service) scheduleMany(ctx context.Context, req BatchRequest) (*BatchRes
 	if len(req.Requests) == 0 {
 		return nil, badRequest("empty batch: no request specs")
 	}
-	if max := s.cfg.maxBatchSpecs(); len(req.Requests) > max {
-		return nil, badRequest("batch carries %d specs, limit %d", len(req.Requests), max)
+	if len(req.Requests) > s.cfg.MaxBatchSpecs {
+		return nil, badRequest("batch carries %d specs, limit %d", len(req.Requests), s.cfg.MaxBatchSpecs)
 	}
 	schedulers := make([]sched.Scheduler, len(req.Requests))
 	for i, spec := range req.Requests {
@@ -109,11 +109,4 @@ func (s *Service) scheduleMany(ctx context.Context, req BatchRequest) (*BatchRes
 		s.cache.settle(resp.cacheOutcome)
 	}
 	return resp, err
-}
-
-func (c Config) maxBatchSpecs() int {
-	if c.MaxBatchSpecs <= 0 {
-		return DefaultMaxBatchSpecs
-	}
-	return c.MaxBatchSpecs
 }

@@ -160,7 +160,7 @@ func (s *Service) handleTableGet(w http.ResponseWriter, r *http.Request) {
 // read buffer comes from the shared pool, so steady-state decodes do
 // not grow the heap.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := getBuffer()
 	defer putBuffer(buf)
 	if _, err := buf.ReadFrom(body); err != nil {

@@ -89,7 +89,7 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	// guard enforces: the trace cross-check alone runs only after this
 	// decode, so without the budget a crafted payload header could
 	// commit the shard to an allocation its own guards would refuse.
-	tableFP, table, err := cost.DecodeTableV2Limit(exp.Table, s.cfg.maxTableCells())
+	tableFP, table, err := cost.DecodeTableV2Limit(exp.Table, s.cfg.MaxTableCells)
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}

@@ -56,7 +56,7 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 		return nil // already resident (either tier); nothing to transfer
 	}
 
-	fetchCtx, cancel := context.WithTimeout(context.Background(), s.cfg.peerFillTimeout())
+	fetchCtx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerFillTimeout)
 	defer cancel()
 	table, err := s.cfg.PeerFill(fetchCtx, fp, req.PeerHint)
 	if err != nil {

@@ -162,39 +162,25 @@ type PeerFillFunc func(ctx context.Context, fp trace.Fingerprint, peerURL string
 // Config.PeerFillTimeout is zero.
 const DefaultPeerFillTimeout = 500 * time.Millisecond
 
-func (c Config) peerFillTimeout() time.Duration {
-	if c.PeerFillTimeout <= 0 {
-		return DefaultPeerFillTimeout
-	}
-	return c.PeerFillTimeout
+// withDefaults resolves every "<= 0 means default" field once.
+// CacheBytes is derived from the resolved CacheSize.
+func (c Config) withDefaults() Config {
+	c.CacheSize = orDefault(c.CacheSize, DefaultCacheSize)
+	c.CacheBytes = orDefault(c.CacheBytes, int64(c.CacheSize)*DefaultTableBytes)
+	c.MaxBodyBytes = orDefault(c.MaxBodyBytes, DefaultMaxBodyBytes)
+	c.MaxSessions = orDefault(c.MaxSessions, DefaultMaxSessions)
+	c.MaxBatchSpecs = orDefault(c.MaxBatchSpecs, DefaultMaxBatchSpecs)
+	c.MaxTableCells = orDefault(c.MaxTableCells, DefaultMaxTableCells)
+	c.PeerFillTimeout = orDefault(c.PeerFillTimeout, DefaultPeerFillTimeout)
+	return c
 }
 
-func (c Config) cacheSize() int {
-	if c.CacheSize <= 0 {
-		return DefaultCacheSize
+// orDefault is v, or def when v is zero or negative.
+func orDefault[T int | int64 | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
 	}
-	return c.CacheSize
-}
-
-func (c Config) cacheBytes() int64 {
-	if c.CacheBytes <= 0 {
-		return int64(c.cacheSize()) * DefaultTableBytes
-	}
-	return c.CacheBytes
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return DefaultMaxBodyBytes
-	}
-	return c.MaxBodyBytes
-}
-
-func (c Config) maxTableCells() int64 {
-	if c.MaxTableCells <= 0 {
-		return DefaultMaxTableCells
-	}
-	return c.MaxTableCells
+	return v
 }
 
 // ingestTrace is the one intake path of every trace-carrying request:
@@ -205,8 +191,8 @@ func (c Config) maxTableCells() int64 {
 // their product can overflow int64 and a guard that overflows is no
 // guard.
 func (s *Service) ingestTrace(stages obs.Stages, text string) (*trace.Trace, error) {
-	if int64(len(text)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(text), s.cfg.maxBodyBytes())
+	if int64(len(text)) > s.cfg.MaxBodyBytes {
+		return nil, badRequest("trace text %d bytes exceeds limit %d", len(text), s.cfg.MaxBodyBytes)
 	}
 	sp := stages.Start("decode")
 	tr, err := trace.Decode(strings.NewReader(text))
@@ -216,9 +202,9 @@ func (s *Service) ingestTrace(stages obs.Stages, text string) (*trace.Trace, err
 	}
 	cells := float64(tr.NumWindows()) * float64(tr.NumData) *
 		float64(tr.Grid.Width()) * float64(tr.Grid.Height())
-	if cells > float64(s.cfg.maxTableCells()) {
+	if cells > float64(s.cfg.MaxTableCells) {
 		return nil, badRequest("trace shape %d windows x %d data x %s implies %.3g residence-table cells, limit %d",
-			tr.NumWindows(), tr.NumData, tr.Grid, cells, s.cfg.maxTableCells())
+			tr.NumWindows(), tr.NumData, tr.Grid, cells, s.cfg.MaxTableCells)
 	}
 	return tr, nil
 }
@@ -383,11 +369,13 @@ type Service struct {
 	testHookSessionOp func()
 }
 
-// New returns a Service with the given configuration.
+// New returns a Service with the given configuration, its unset fields
+// resolved to their defaults.
 func New(cfg Config) *Service {
+	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		cache:    newTableCache(cfg.cacheSize(), cfg.cacheBytes(), !cfg.DisableColdTier),
+		cache:    newTableCache(cfg.CacheSize, cfg.CacheBytes, !cfg.DisableColdTier),
 		sessions: make(map[string]*sessionEntry),
 	}
 	if cfg.MaxInflight > 0 {
@@ -764,7 +752,7 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 // request's trace — the same paranoia peer fill applies, because a
 // promoted table feeds schedules exactly like an adopted one.
 func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, tr *trace.Trace) (cost.ResidenceTable, error) {
-	gotFP, table, err := cost.DecodeTableV2Limit(comp, s.cfg.maxTableCells())
+	gotFP, table, err := cost.DecodeTableV2Limit(comp, s.cfg.MaxTableCells)
 	if err != nil {
 		return cost.ResidenceTable{}, err
 	}
@@ -785,7 +773,7 @@ func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, tr *tr
 	// The fetch deadline is independent of the request context: the
 	// builder's work survives an abandoned requester, and the fetch must
 	// stay bounded either way.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.peerFillTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerFillTimeout)
 	defer cancel()
 	sp := stages.Start("table.peerfill")
 	table, err := s.cfg.PeerFill(ctx, fp, peerHint)

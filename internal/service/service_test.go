@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -251,6 +253,178 @@ func TestScheduleDeadlineExpiry(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Inflight != 0 {
 		t.Fatalf("Inflight = %d after Close, want 0", st.Inflight)
+	}
+}
+
+// TestAbandonedRequestHoldsSlotUntilWorkerFinishes: a caller that gives
+// up gets its context error at once, but the worker it abandoned keeps
+// the concurrency slot until it finishes, so MaxInflight bounds running
+// work rather than attached callers.
+func TestAbandonedRequestHoldsSlotUntilWorkerFinishes(t *testing.T) {
+	svc := New(Config{MaxInflight: 1})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool
+	svc.testHookRunning = func() {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	text := traceText(t, "lu", 4, grid.Square(2))
+	req := Request{Trace: text, Algorithm: "scds"}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := svc.Schedule(ctx, req)
+		abandoned <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned request: err = %v, want context.Canceled", err)
+	}
+
+	// The caller is gone but its worker is still held: the slot is taken.
+	if _, err := svc.Schedule(context.Background(), req); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("request while the abandoned worker runs: err = %v, want ErrOverloaded", err)
+	}
+	if st := svc.Stats(); st.Inflight != 1 {
+		t.Fatalf("Inflight = %d while the abandoned worker runs, want 1", st.Inflight)
+	}
+
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Stats().Inflight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned worker never gave its slot back")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := svc.Schedule(context.Background(), req); err != nil {
+		t.Fatalf("request after the worker finished: %v", err)
+	}
+	// A context dead on arrival gives its slot back before any worker
+	// starts.
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	if _, err := svc.Schedule(dead, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead-on-arrival request: err = %v, want context.Canceled", err)
+	}
+	if st := svc.Stats(); st.Inflight != 0 {
+		t.Fatalf("Inflight = %d after a dead-on-arrival request, want 0", st.Inflight)
+	}
+	svc.Close()
+	st := svc.Stats()
+	if st.Inflight != 0 || st.DeadlineExpired != 2 || st.RejectedOverload != 1 || st.Completed != 1 {
+		t.Fatalf("inflight/expired/shed/completed = %d/%d/%d/%d, want 0/2/1/1",
+			st.Inflight, st.DeadlineExpired, st.RejectedOverload, st.Completed)
+	}
+}
+
+// stageSink collects the stages one obs.Stages sink receives.
+type stageSink struct {
+	mu  sync.Mutex
+	got map[string]int
+}
+
+func (k *stageSink) record(stage string, _ time.Duration) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.got == nil {
+		k.got = make(map[string]int)
+	}
+	k.got[stage]++
+}
+
+// take returns the stages received so far and starts over.
+func (k *stageSink) take() map[string]int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	got := k.got
+	k.got = nil
+	return got
+}
+
+// TestRequestContextStagesReceivePipelineSpans: a sink carried on the
+// request context by obs.WithStages receives that request's pipeline
+// spans and no other request's, and a request abandoned mid-run still
+// records its scheduler span when its worker finishes.
+func TestRequestContextStagesReceivePipelineSpans(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	text := traceText(t, "lu", 8, grid.Square(4))
+	req := Request{Trace: text, Algorithm: "gomcds"}
+
+	var first, second stageSink
+	ctx := obs.WithStages(context.Background(), first.record)
+	if _, err := svc.Schedule(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"decode": 1, "fingerprint": 1, "table.build": 1, "sched.gomcds": 1}
+	if got := first.take(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("miss delivered %v, want %v", got, want)
+	}
+	if _, err := svc.Schedule(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	want = map[string]int{"decode": 1, "fingerprint": 1, "table.hit": 1, "sched.gomcds": 1}
+	if got := first.take(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("repeat delivered %v, want %v", got, want)
+	}
+
+	// A bare context records into the service histograms only, and a
+	// second sink sees only its own request.
+	if _, err := svc.Schedule(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Schedule(obs.WithStages(context.Background(), second.record), req); err != nil {
+		t.Fatal(err)
+	}
+	if got := first.take(); len(got) != 0 {
+		t.Fatalf("other requests leaked %v into the first sink", got)
+	}
+	if got := second.take(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second sink got %v, want %v", got, want)
+	}
+
+	// Abandoned mid-run: the worker records sched.scds when it finishes,
+	// not before.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	svc.testHookRunning = func() {
+		close(entered)
+		<-release
+	}
+	var abandonedSink stageSink
+	actx, cancel := context.WithCancel(obs.WithStages(context.Background(), abandonedSink.record))
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := svc.Schedule(actx, Request{Trace: text, Algorithm: "scds"})
+		abandoned <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned request: err = %v, want context.Canceled", err)
+	}
+	if got := abandonedSink.take(); got["sched.scds"] != 0 {
+		t.Fatalf("sched.scds recorded before the abandoned worker ran: %v", got)
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		abandonedSink.mu.Lock()
+		n := abandonedSink.got["sched.scds"]
+		abandonedSink.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned worker never recorded its sched.scds span")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -85,13 +85,6 @@ type sessionEntry struct {
 	closed bool
 }
 
-func (c Config) maxSessions() int {
-	if c.MaxSessions <= 0 {
-		return DefaultMaxSessions
-	}
-	return c.MaxSessions
-}
-
 // CreateSession decodes the starting trace, builds a session (its own
 // model and residence table, counted in tables_built exactly once — no
 // table work ever runs again for this session's deltas), and registers
@@ -141,7 +134,7 @@ func (s *Service) admitSession(id string) error {
 	if _, ok := s.sessions[id]; ok {
 		return &ErrSessionExists{ID: id}
 	}
-	if len(s.sessions) >= s.cfg.maxSessions() {
+	if len(s.sessions) >= s.cfg.MaxSessions {
 		return fmt.Errorf("%w: %d sessions live", ErrOverloaded, len(s.sessions))
 	}
 	return nil

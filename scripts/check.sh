@@ -23,9 +23,13 @@ go test -race "$@" ./...
 # GOMAXPROCS sweep: the concurrency-bearing packages again at 1, 2 and
 # 8 procs, three times each, so no test can pass only at -cpu 1 (a
 # race of the workers against each other needs at least two Ps to
-# show). -short keeps the 100k-spec cluster load variant out.
+# show). sched, cost, costgraph and verify are in it because GOMCDS
+# partitions items into GOMAXPROCS blocks and table builds fan out
+# through parallel.ForEach: their bit-identity must hold at any CPU
+# count. -short keeps the 100k-spec cluster load variant out.
 echo "== GOMAXPROCS sweep (-short -cpu 1,2,8 -count 3) =="
-go test -short -cpu 1,2,8 -count 3 ./internal/service ./internal/cluster ./internal/delta ./cmd/pimload
+go test -short -cpu 1,2,8 -count 3 ./internal/service ./internal/cluster ./internal/delta ./cmd/pimload \
+	./internal/sched ./internal/cost ./internal/costgraph ./internal/verify
 
 # The scheduling service's load referee: >= 100 concurrent HTTP clients
 # against /schedule under the race detector, asserting responses match
